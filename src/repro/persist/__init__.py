@@ -19,7 +19,8 @@ crash wipes process memory. This package is the durability layer:
   through the real ``offer``/``offer_many``/shard-ingest RNG paths).
 * :mod:`repro.persist.faults` — the fault-injection harness (simulated
   mid-write kills via a pluggable file wrapper, plus at-rest tail
-  corruption) that the recovery test sweep drives.
+  corruption, plus a CRC-valid hostile columnar body) that the recovery
+  test sweep drives.
 
 The byte-identity contract is also enforced statistically as the
 ``recovery_equivalence`` spec in :mod:`repro.verify.registry`.
@@ -45,6 +46,7 @@ from repro.persist.faults import (
     SimulatedCrash,
     corrupt_tail_record_crc,
     duplicate_tail_record,
+    hostile_points_body,
     tear_tail_bytes,
     truncate_file,
 )
@@ -80,5 +82,6 @@ __all__ = [
     "tear_tail_bytes",
     "corrupt_tail_record_crc",
     "duplicate_tail_record",
+    "hostile_points_body",
     "truncate_file",
 ]

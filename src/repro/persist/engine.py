@@ -31,11 +31,12 @@ WAL bytes.
 Sharded mode
 ------------
 
-Wrapping a :class:`~repro.shard.coordinator.ShardedReservoir` hooks the
-facade's dispatch step: every block a shard worker ingests — whether
-from ``offer_many`` partitioning or from the per-item buffer flushing —
-is journaled to that shard's own segment as ``(global_indices,
-payloads)`` *keyed by global arrival index*, before the worker sees it.
+Wrapping a :class:`~repro.shard.coordinator.ShardedReservoir` sets the
+facade's ``dispatch_listener``: every block a shard worker ingests —
+whether from ``offer_many`` partitioning or from the per-item buffer
+flushing — is journaled to that shard's own segment as one ``"s"``
+:class:`~repro.persist.wal.WalBlock` *keyed by global arrival index*,
+before the worker sees it.
 Within a shard, records replay in sequence order; across shards order is
 irrelevant because worker RNG streams are independent. Per-item offers
 that are still sitting in the facade's in-memory buffer are not yet
@@ -50,8 +51,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-import numpy as np
-
 from repro.core.reservoir import from_state_dict
 from repro.persist.checkpoint import (
     list_checkpoints,
@@ -62,10 +61,13 @@ from repro.persist.checkpoint import (
 from repro.persist.wal import (
     SYNC_POLICIES,
     ScanResult,
+    WalBlock,
     WalWriter,
+    count_frames,
     scan_wal,
     truncate_to,
 )
+from repro.shard.worker import _object_array
 
 __all__ = ["DurableReservoir", "RecoveryInfo", "PERSIST_SCHEMA_VERSION"]
 
@@ -168,9 +170,9 @@ class DurableReservoir:
         self._bytes_in_generation = 0
         self._closed = False
         self.last_recovery: Optional[RecoveryInfo] = None
-        self._orig_dispatch = None
+        self._sharded_max_glob = 0
         if self._sharded:
-            self._hook_dispatch()
+            sampler.dispatch_listener = self._journal_dispatch
         if not _recovering:
             if self._existing_journal():
                 raise ValueError(
@@ -206,30 +208,15 @@ class DurableReservoir:
             writer.close()
         self._writers = {}
 
-    def _append(self, stream: str, record: Any) -> None:
+    def _append(self, stream: str, block: WalBlock) -> None:
         self._seq += 1
-        size = self._writers[stream].append(self._seq, record)
+        size = self._writers[stream].append(self._seq, block)
         self._records_in_generation += 1
         self._bytes_in_generation += size
 
-    def _hook_dispatch(self) -> None:
-        """Journal every shard dispatch before the worker ingests it."""
-        facade = self.sampler
-        self._orig_dispatch = facade._dispatch
-
-        def logged_dispatch(w, payloads, globs):
-            self._append(
-                self._streams[w],
-                (np.asarray(globs).tolist(), list(payloads)),
-            )
-            self._orig_dispatch(w, payloads, globs)
-
-        facade._dispatch = logged_dispatch
-
-    def _unhook_dispatch(self) -> None:
-        if self._orig_dispatch is not None:
-            self.sampler._dispatch = self._orig_dispatch
-            self._orig_dispatch = None
+    def _journal_dispatch(self, w: int, payloads, globs) -> None:
+        """Dispatch listener: journal a shard block before it is ingested."""
+        self._append(self._streams[w], WalBlock("s", payloads, globs))
 
     # ------------------------------------------------------------------ #
     # Ingestion
@@ -238,7 +225,7 @@ class DurableReservoir:
     def offer(self, payload: Any) -> bool:
         """Journal then apply one arrival.
 
-        Serial samplers journal one ``("o", payload)`` record per offer.
+        Serial samplers journal one ``"o"`` record per offer.
         Sharded facades route through their per-item buffer; the WAL
         record is written when the buffered block is dispatched to its
         shard (see the module docstring on the durability boundary).
@@ -247,7 +234,7 @@ class DurableReservoir:
         if self._sharded:
             stored = self.sampler.offer(payload)
         else:
-            self._append("main", ("o", payload))
+            self._append("main", WalBlock("o", [payload]))
             stored = self.sampler.offer(payload)
         self._maybe_checkpoint()
         return stored
@@ -259,10 +246,10 @@ class DurableReservoir:
         if not block:
             return 0
         if self._sharded:
-            # The dispatch hook journals each shard's sub-block.
+            # The dispatch listener journals each shard's sub-block.
             stored = self.sampler.offer_many(block)
         else:
-            self._append("main", ("b", block))
+            self._append("main", WalBlock("b", block))
             stored = self.sampler.offer_many(block)
         self._maybe_checkpoint()
         return stored
@@ -447,10 +434,11 @@ class DurableReservoir:
         # Resume appending into the newest generation present on disk.
         self._generation = max_gen
         for stream in self._streams:
-            current = self.directory / _segment_name(stream, max_gen)
-            tail = scan_wal(current, min_seq=-1)
-            tail_records += len(tail.records) + len(tail.duplicates)
-            tail_bytes += tail.valid_bytes
+            records, clean = count_frames(
+                self.directory / _segment_name(stream, max_gen)
+            )
+            tail_records += records
+            tail_bytes += clean
         self._records_in_generation = tail_records
         self._bytes_in_generation = tail_bytes
         self._open_writers()
@@ -459,33 +447,28 @@ class DurableReservoir:
 
     def _apply_records(self, w: int, result: ScanResult) -> None:
         """Feed replayed records through the sampler's real ingest path."""
-        if self._sharded:
-            from repro.shard.worker import _object_array
-
-            worker = self.sampler._workers[w]
-            for _seq, (globs, payloads) in result.records:
-                worker.ingest(
-                    _object_array(payloads),
-                    np.asarray(globs, dtype=np.int64),
+        for seq, block in result.blocks():
+            if self._sharded != (block.op == "s"):
+                raise ValueError(
+                    f"WAL segment {result.path}, record seq {seq}: op "
+                    f"{block.op!r} does not belong in this journal"
+                )
+            if block.op == "o":
+                self.sampler.offer(block.payloads[0])
+            elif block.op == "b":
+                self.sampler.offer_many(block.payloads)
+            else:
+                self.sampler._workers[w].ingest(
+                    _object_array(block.payloads), block.globs
                 )
                 self._sharded_max_glob = max(
-                    getattr(self, "_sharded_max_glob", 0), int(globs[-1])
+                    self._sharded_max_glob, int(block.globs[-1])
                 )
-        else:
-            for _seq, record in result.records:
-                op, data = record
-                if op == "o":
-                    self.sampler.offer(data)
-                elif op == "b":
-                    self.sampler.offer_many(data)
-                else:
-                    raise ValueError(f"unknown WAL record op {op!r}")
 
     def _finish_sharded_replay(self) -> None:
         """Advance the facade clock past every replayed global index."""
-        max_glob = getattr(self, "_sharded_max_glob", 0)
-        if max_glob > self.sampler.t:
-            self.sampler.t = max_glob
+        if self._sharded_max_glob > self.sampler.t:
+            self.sampler.t = self._sharded_max_glob
 
     # ------------------------------------------------------------------ #
     # Passthrough inspection
@@ -524,12 +507,13 @@ class DurableReservoir:
             raise RuntimeError("DurableReservoir is closed")
 
     def close(self, final_checkpoint: bool = True) -> None:
-        """Checkpoint (by default), unhook, and release file handles."""
+        """Checkpoint (by default), detach, and release file handles."""
         if self._closed:
             return
         if final_checkpoint:
             self.checkpoint()
-        self._unhook_dispatch()
+        if self._sharded:
+            self.sampler.dispatch_listener = None
         self._close_writers()
         self._closed = True
 

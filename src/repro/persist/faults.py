@@ -18,18 +18,29 @@ Two complementary attack surfaces:
   truncate a checkpoint file. These model kernel-level loss and bit
   rot that no userspace write path can produce deliberately.
 
-Every fault in this module has a matching recovery assertion in
+* **Hostile bodies** — :func:`hostile_points_body` rewrites a columnar
+  tail record so its header lies about its length and re-CRCs it, the
+  way a foreign or tampered journal would look.
+
+Every fault in :data:`FAULT_NAMES` has a matching recovery assertion in
 ``tests/test_persist_recovery.py``: recovery must detect the damage,
 truncate (not replay) the poisoned tail, and land byte-identical to the
-last durable prefix.
+last durable prefix. A hostile body is not damage a crash can leave, so
+recovery must refuse it instead (``tests/test_persist_columnar.py``).
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 from typing import Any, List, Optional, Union
 
-from repro.persist.wal import last_record_span
+from repro.persist.wal import (
+    HEADER,
+    KIND_POINTS,
+    frame_record,
+    last_record_span,
+)
 
 __all__ = [
     "SimulatedCrash",
@@ -38,6 +49,7 @@ __all__ = [
     "tear_tail_bytes",
     "corrupt_tail_record_crc",
     "duplicate_tail_record",
+    "hostile_points_body",
     "truncate_file",
     "FAULT_NAMES",
 ]
@@ -161,6 +173,40 @@ def duplicate_tail_record(path: PathLike) -> bool:
     data = Path(path).read_bytes()
     with open(path, "ab") as fh:
         fh.write(data[offset : offset + size])
+    return True
+
+
+def hostile_points_body(path: PathLike) -> bool:
+    """Make the last WAL record a CRC-valid points record that lies.
+
+    Rewrites the JSON header's ``n`` to one more than the record holds,
+    then re-frames the body with a fresh CRC, so only the body check can
+    catch it. Returns ``False`` when the tail record is not columnar.
+    """
+    span = last_record_span(path)
+    if span is None:
+        return False
+    offset, size = span
+    data = Path(path).read_bytes()
+    _magic, _version, kind, seq, _length, _crc = HEADER.unpack_from(
+        data, offset
+    )
+    if kind != KIND_POINTS:
+        return False
+    body = data[offset + HEADER.size : offset + size]
+    header_len = int.from_bytes(body[:4], "little")
+    header = json.loads(body[4 : 4 + header_len])
+    header["n"] += 1
+    new_header = json.dumps(header).encode()
+    new_body = (
+        len(new_header).to_bytes(4, "little")
+        + new_header
+        + body[4 + header_len :]
+    )
+    with open(path, "r+b") as fh:
+        fh.truncate(offset)
+        fh.seek(offset)
+        fh.write(frame_record(KIND_POINTS, seq, new_body))
     return True
 
 

@@ -9,7 +9,7 @@ A WAL *segment* is a flat file of back-to-back records. Each record is::
     | magic  | version | kind | seq (int64) | len (uint32)| crc (u32)|
     | 2 B    | 1 B     | 1 B  | 8 B         | 4 B         | 4 B      |
     +--------+---------+------+-------------+-------------+----------+
-    | payload (len bytes, pickled object, CRC-32 over these bytes)   |
+    | payload (len bytes, body of the record kind, CRC-32 over them) |
     +----------------------------------------------------------------+
 
 All integers are little-endian. ``seq`` is a strictly increasing record
@@ -17,13 +17,51 @@ sequence number assigned by the writer; the reader uses it to drop
 duplicate tail records (a crash between a completed append and its
 acknowledgement can legitimately leave the same record twice).
 
-The reader is *tolerant*: a torn header, a short payload, a magic or CRC
-mismatch, or a non-monotonic garbage tail all terminate the scan at the
-last fully valid record instead of raising, and report how many clean
-bytes precede the damage so the caller can truncate the tail
+Record kinds
+------------
+
+====  ==========  ====================================================
+byte  name        payload
+====  ==========  ====================================================
+0     pickle      one pickled Python object
+1     points      a columnar block of :class:`~repro.streams.StreamPoint`
+====  ==========  ====================================================
+
+The engine journals one :class:`WalBlock` per ingestion call and
+:func:`encode_record` picks the kind from the payloads alone. A block
+goes columnar when every payload is exactly a ``StreamPoint`` (no
+subclass) with an ``int`` index, an ``int``-or-``None`` label and one
+shared 1-D dimensionality ``d``. Everything else — per-item offers,
+integer or arbitrary-object payloads, ``np.int64`` labels, mixed
+dimensionality — is pickled in the shape older releases wrote:
+``("o", payload)``, ``("b", [payloads])`` or, for a shard dispatch,
+``([global indices], [payloads])``. Readers from before the points kind
+stop at a points record as tail damage.
+
+A points body is a JSON header followed by raw little-endian arrays::
+
+    header_len  uint32
+    header      UTF-8 JSON {"op": "b" | "s", "n": n, "d": d}
+    index       int64[n]     arrival indices
+    label       int64[n]     labels (0 where the label is None)
+    none        uint8[n]     1 where the label is None, else 0
+    values      float64[n*d] feature vectors, row-major
+    globs       int64[n]     global arrival indices (op "s" only)
+
+An explicit ``none`` mask keeps ``-1`` a legal label. Decoding copies
+every array out of the segment buffer and rebuilds ``StreamPoint`` s of
+the same Python types and bits as the live ones, so crash → recover →
+resume stays byte-identical.
+
+The reader is *tolerant*: a torn header, a short payload, a magic, kind
+or CRC mismatch, or a non-monotonic garbage tail all terminate the scan
+at the last fully valid record instead of raising, and report how many
+clean bytes precede the damage so the caller can truncate the tail
 (:func:`truncate_to`). This is the standard WAL recovery contract — a
 crash mid-append must never poison the records that were already
-durable.
+durable. A points record whose CRC is valid but whose header is
+malformed or disagrees with its length is not a torn write; the scan
+raises ``ValueError`` naming the segment and ``seq`` instead.
 
 Fsync policy
 ------------
@@ -45,23 +83,33 @@ the file object and tear or drop writes at byte granularity.
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, List, Optional, Tuple, Union
+from typing import Any, Callable, List, NamedTuple, Optional, Tuple, Union
+
+import numpy as np
+
+from repro.streams.point import StreamPoint
 
 __all__ = [
     "WAL_VERSION",
     "RECORD_MAGIC",
     "HEADER",
+    "KIND_PICKLE",
+    "KIND_POINTS",
+    "WalBlock",
     "WalDamage",
     "ScanResult",
     "WalWriter",
     "encode_record",
+    "frame_record",
     "scan_wal",
+    "count_frames",
     "truncate_to",
     "last_record_span",
     "SYNC_POLICIES",
@@ -79,8 +127,11 @@ RECORD_MAGIC = b"\xabW"
 #: magic(2s) version(B) kind(B) seq(q) payload_len(I) payload_crc(I)
 HEADER = struct.Struct("<2sBBqII")
 
-#: Record kind byte: a pickled Python object (the only kind in v1).
+#: Record kind byte: a pickled Python object.
 KIND_PICKLE = 0
+
+#: Record kind byte: a columnar block of StreamPoints (module docstring).
+KIND_POINTS = 1
 
 SYNC_POLICIES = ("always", "batch", "never")
 
@@ -88,13 +139,29 @@ SYNC_POLICIES = ("always", "batch", "never")
 #: a multi-gigabyte payload; anything larger than this is tail damage.
 _MAX_PAYLOAD = 1 << 30
 
+_U32 = struct.Struct("<I")
+
+
+class WalBlock(NamedTuple):
+    """One journaled ingestion call, as the engine writes and replays it.
+
+    ``op`` is ``"o"`` (one ``offer``; ``payloads`` is a one-element
+    list), ``"b"`` (one ``offer_many`` block) or ``"s"`` (one shard
+    dispatch; ``globs`` holds the payloads' int64 global arrival
+    indices).
+    """
+
+    op: str
+    payloads: Any
+    globs: Optional[np.ndarray] = None
+
 
 @dataclass(frozen=True)
 class WalDamage:
     """Description of why a scan stopped before end-of-file."""
 
     reason: str  # "torn_header" | "torn_payload" | "bad_magic" |
-    # "bad_crc" | "bad_version" | "bad_length"
+    # "bad_version" | "bad_kind" | "bad_length" | "bad_crc"
     offset: int  # byte offset of the first damaged record
 
 
@@ -102,7 +169,8 @@ class WalDamage:
 class ScanResult:
     """Outcome of a tolerant segment scan."""
 
-    #: Decoded ``(seq, payload_object)`` pairs, duplicates dropped.
+    #: Decoded ``(seq, record)`` pairs, duplicates dropped: the unpickled
+    #: object for a pickle record, a :class:`WalBlock` for a points one.
     records: List[Tuple[int, Any]] = field(default_factory=list)
     #: Bytes of clean prefix (valid records end exactly here).
     valid_bytes: int = 0
@@ -110,20 +178,202 @@ class ScanResult:
     damage: Optional[WalDamage] = None
     #: Sequence numbers of dropped duplicate tail records.
     duplicates: List[int] = field(default_factory=list)
+    #: The scanned segment, named in decoding errors.
+    path: Optional[Path] = None
+
+    def blocks(self) -> List[Tuple[int, WalBlock]]:
+        """The records as ``(seq, WalBlock)`` pairs, in sequence order."""
+        return [(seq, self._as_block(seq, r)) for seq, r in self.records]
+
+    def _as_block(self, seq: int, record: Any) -> WalBlock:
+        if isinstance(record, WalBlock):
+            return record
+        if isinstance(record, tuple) and len(record) == 2:
+            head, data = record
+            if head == "o":
+                return WalBlock("o", [data])
+            if head == "b" and isinstance(data, list):
+                return WalBlock("b", data)
+            if isinstance(head, list) and isinstance(data, list):
+                if len(head) == len(data) > 0:
+                    return WalBlock("s", data, np.asarray(head, np.int64))
+        raise _record_error(self.path, seq, "not an ingestion record")
 
 
-def encode_record(seq: int, obj: Any) -> bytes:
-    """Frame one object as WAL record bytes."""
-    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+def _record_error(path: Optional[Path], seq: int, why: str) -> ValueError:
+    return ValueError(f"WAL segment {path}, record seq {seq}: {why}")
+
+
+def frame_record(kind: int, seq: int, payload: bytes) -> bytes:
+    """Frame an encoded payload of ``kind`` as WAL record bytes."""
     header = HEADER.pack(
         RECORD_MAGIC,
         WAL_VERSION,
-        KIND_PICKLE,
+        kind,
         int(seq),
         len(payload),
         zlib.crc32(payload) & 0xFFFFFFFF,
     )
     return header + payload
+
+
+def _points_body(block: WalBlock) -> Optional[bytes]:
+    """Columnar body of a StreamPoint block, or ``None`` if ineligible."""
+    payloads = block.payloads
+    if isinstance(payloads, np.ndarray):
+        payloads = payloads.tolist()  # lists iterate faster than object arrays
+    if block.op == "o" or set(map(type, payloads)) != {StreamPoint}:
+        return None
+    index = [p.index for p in payloads]
+    labels = [p.label for p in payloads]
+    if set(map(type, index)) != {int} or not (
+        set(map(type, labels)) <= {int, type(None)}
+    ):
+        return None
+    try:
+        values = np.array([p.values for p in payloads], dtype=np.float64)
+    except ValueError:  # mixed dimensionality
+        return None
+    if values.ndim != 2:
+        return None
+    none = np.zeros(len(labels), dtype=np.uint8)
+    if None in labels:
+        none[:] = [label is None for label in labels]
+        labels = [0 if label is None else label for label in labels]
+    try:
+        arrays = [np.array(index, "<i8"), np.array(labels, "<i8"), none]
+    except OverflowError:  # an int outside int64
+        return None
+    arrays.append(values.astype("<f8", copy=False))
+    if block.op == "s":
+        arrays.append(np.asarray(block.globs).astype("<i8", copy=False))
+    n, d = values.shape
+    header = json.dumps({"op": block.op, "n": n, "d": d}).encode()
+    return b"".join(
+        [_U32.pack(len(header)), header] + [a.tobytes() for a in arrays]
+    )
+
+
+def _pickle_form(block: WalBlock) -> Tuple[Any, Any]:
+    """The pickled record shape older releases wrote for ``block``."""
+    if block.op == "o":
+        return ("o", block.payloads[0])
+    if block.op == "s":
+        return (np.asarray(block.globs).tolist(), list(block.payloads))
+    return ("b", list(block.payloads))
+
+
+def encode_record(seq: int, obj: Any) -> bytes:
+    """Frame one record: a :class:`WalBlock` or any picklable object."""
+    if isinstance(obj, WalBlock):
+        body = _points_body(obj)
+        if body is not None:
+            return frame_record(KIND_POINTS, seq, body)
+        obj = _pickle_form(obj)
+    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    return frame_record(KIND_PICKLE, seq, payload)
+
+
+def _decode_points(body: memoryview) -> WalBlock:
+    """Rebuild a :class:`WalBlock` from a points body; ``ValueError`` if
+    the header is malformed or disagrees with the body length."""
+    if len(body) < _U32.size:
+        raise ValueError("points body shorter than its header length")
+    (header_len,) = _U32.unpack_from(body)
+    start = _U32.size + header_len
+    try:
+        header = json.loads(bytes(body[_U32.size : start]))
+        op, n, d = header["op"], header["n"], header["d"]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ValueError(f"malformed points header ({exc})") from None
+    if (
+        op not in ("b", "s")
+        or type(n) is not int
+        or type(d) is not int
+        or n < 1
+        or d < 0
+    ):
+        raise ValueError(f"bad points header {header!r}")
+    columns = (3 if op == "s" else 2) * 8 + 1 + 8 * d
+    if len(body) - start != n * columns:
+        raise ValueError(
+            f"points header claims n={n}, d={d} ({n * columns} array "
+            f"bytes) but the body holds {len(body) - start}"
+        )
+    offset = start
+
+    def take(dtype: str, count: int, native: type) -> np.ndarray:
+        nonlocal offset
+        raw = np.frombuffer(body, dtype=dtype, count=count, offset=offset)
+        offset += raw.nbytes
+        return raw.astype(native)  # a copy: never alias the segment
+
+    index = take("<i8", n, np.int64).tolist()
+    labels = take("<i8", n, np.int64).tolist()
+    none = take("u1", n, np.uint8)
+    if none.max() > 1:
+        raise ValueError("points label mask holds a byte other than 0/1")
+    for i in np.flatnonzero(none).tolist():
+        labels[i] = None
+    values = take("<f8", n * d, np.float64).reshape(n, d)
+    globs = take("<i8", n, np.int64) if op == "s" else None
+    payloads = [
+        StreamPoint(i, row, label)
+        for i, row, label in zip(index, values, labels)
+    ]
+    return WalBlock(op, payloads, globs)
+
+
+_DECODERS = {
+    KIND_PICKLE: pickle.loads,
+    KIND_POINTS: _decode_points,
+}
+
+
+class _Frame(NamedTuple):
+    offset: int
+    end: int
+    kind: int
+    seq: int
+    payload: memoryview
+
+
+def _parse_frames(data: bytes) -> Tuple[List[_Frame], Optional[WalDamage]]:
+    """Every CRC-valid frame of ``data`` up to the first damage."""
+    view = memoryview(data)
+    frames: List[_Frame] = []
+    offset = 0
+    while offset < len(data):
+        if offset + HEADER.size > len(data):
+            return frames, WalDamage("torn_header", offset)
+        magic, version, kind, seq, length, crc = HEADER.unpack_from(
+            data, offset
+        )
+        if magic != RECORD_MAGIC:
+            return frames, WalDamage("bad_magic", offset)
+        if version != WAL_VERSION:
+            return frames, WalDamage("bad_version", offset)
+        if kind not in _DECODERS:
+            return frames, WalDamage("bad_kind", offset)
+        if length > _MAX_PAYLOAD:
+            return frames, WalDamage("bad_length", offset)
+        start = offset + HEADER.size
+        end = start + length
+        if end > len(data):
+            return frames, WalDamage("torn_payload", offset)
+        payload = view[start:end]
+        if zlib.crc32(payload) & 0xFFFFFFFF != crc:
+            return frames, WalDamage("bad_crc", offset)
+        frames.append(_Frame(offset, end, kind, seq, payload))
+        offset = end
+    return frames, None
+
+
+def _read_frames(path: PathLike) -> Tuple[List[_Frame], Optional[WalDamage]]:
+    path = Path(path)
+    if not path.exists():
+        return [], None
+    return _parse_frames(path.read_bytes())
 
 
 class WalWriter:
@@ -193,51 +443,36 @@ def scan_wal(path: PathLike, min_seq: int = -1) -> ScanResult:
     """Tolerantly scan a segment, returning valid records and damage info.
 
     ``min_seq`` filters out records with ``seq <= min_seq`` (already
-    covered by a checkpoint); they are decoded and skipped. Within the
-    file, a record whose ``seq`` does not exceed its predecessor's is a
-    duplicate tail (crash-between-append-and-ack) and is dropped.
+    covered by a checkpoint); they are skipped without decoding. Within
+    the file, a record whose ``seq`` does not exceed its predecessor's is
+    a duplicate tail (crash-between-append-and-ack) and is dropped.
+    Raises ``ValueError`` naming the segment and ``seq`` for a CRC-valid
+    record whose body cannot be decoded.
     """
     path = Path(path)
-    result = ScanResult()
-    if not path.exists():
-        return result
-    data = path.read_bytes()
-    offset = 0
+    frames, damage = _read_frames(path)
+    result = ScanResult(damage=damage, path=path)
     last_seq: Optional[int] = None
-    while offset < len(data):
-        if offset + HEADER.size > len(data):
-            result.damage = WalDamage("torn_header", offset)
-            break
-        magic, version, kind, seq, length, crc = HEADER.unpack_from(
-            data, offset
-        )
-        if magic != RECORD_MAGIC:
-            result.damage = WalDamage("bad_magic", offset)
-            break
-        if version != WAL_VERSION:
-            result.damage = WalDamage("bad_version", offset)
-            break
-        if kind != KIND_PICKLE or length > _MAX_PAYLOAD:
-            result.damage = WalDamage("bad_length", offset)
-            break
-        start = offset + HEADER.size
-        end = start + length
-        if end > len(data):
-            result.damage = WalDamage("torn_payload", offset)
-            break
-        payload = data[start:end]
-        if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-            result.damage = WalDamage("bad_crc", offset)
-            break
-        if last_seq is not None and seq <= last_seq:
-            result.duplicates.append(seq)
-        else:
-            last_seq = seq
-            if seq > min_seq:
-                result.records.append((seq, pickle.loads(payload)))
-        offset = end
-        result.valid_bytes = offset
+    for frame in frames:
+        if last_seq is not None and frame.seq <= last_seq:
+            result.duplicates.append(frame.seq)
+            continue
+        last_seq = frame.seq
+        if frame.seq > min_seq:
+            try:
+                record = _DECODERS[frame.kind](frame.payload)
+            except ValueError as exc:
+                raise _record_error(path, frame.seq, str(exc)) from exc
+            result.records.append((frame.seq, record))
+    result.valid_bytes = frames[-1].end if frames else 0
     return result
+
+
+def count_frames(path: PathLike) -> Tuple[int, int]:
+    """``(records, clean bytes)`` of a segment's valid prefix, counting
+    duplicates and without decoding any payload."""
+    frames, _damage = _read_frames(path)
+    return len(frames), (frames[-1].end if frames else 0)
 
 
 def truncate_to(path: PathLike, valid_bytes: int) -> bool:
@@ -258,28 +493,7 @@ def last_record_span(path: PathLike) -> Optional[Tuple[int, int]]:
     Used by the fault harness to surgically corrupt or duplicate the
     tail record of a real segment.
     """
-    path = Path(path)
-    if not path.exists():
+    frames, _damage = _read_frames(path)
+    if not frames:
         return None
-    data = path.read_bytes()
-    offset = 0
-    span: Optional[Tuple[int, int]] = None
-    while offset + HEADER.size <= len(data):
-        magic, version, kind, _seq, length, crc = HEADER.unpack_from(
-            data, offset
-        )
-        end = offset + HEADER.size + length
-        if (
-            magic != RECORD_MAGIC
-            or version != WAL_VERSION
-            or kind != KIND_PICKLE
-            or length > _MAX_PAYLOAD
-            or end > len(data)
-        ):
-            break
-        payload = data[offset + HEADER.size : end]
-        if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-            break
-        span = (offset, end - offset)
-        offset = end
-    return span
+    return frames[-1].offset, frames[-1].end - frames[-1].offset

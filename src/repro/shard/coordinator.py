@@ -40,7 +40,7 @@ the same order.
 from __future__ import annotations
 
 import multiprocessing
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -222,6 +222,11 @@ class ShardedReservoir:
                 )
             local_workers.append(ShardWorker(sampler, family))
 
+        #: Called as ``listener(w, payloads, globs)`` before worker ``w``
+        #: ingests a block (the durability engine journals it here).
+        self.dispatch_listener: Optional[
+            Callable[[int, np.ndarray, np.ndarray], None]
+        ] = None
         self._buf_payloads: List[List[Any]] = [[] for _ in range(workers)]
         self._buf_globals: List[List[int]] = [[] for _ in range(workers)]
         # Cached union-resident columnar view, keyed by stream position
@@ -321,6 +326,8 @@ class ShardedReservoir:
     def _dispatch(
         self, w: int, payloads: np.ndarray, globs: np.ndarray
     ) -> None:
+        if self.dispatch_listener is not None:
+            self.dispatch_listener(w, payloads, globs)
         if self._workers is not None:
             self._workers[w].ingest(payloads, globs)
         else:

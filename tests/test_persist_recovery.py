@@ -7,15 +7,23 @@ byte-for-byte identical to a run that never crashed. Every fault in
 :data:`repro.persist.FAULT_NAMES` is exercised against both the serial
 sampler and the sharded facade.
 
+The kill-at-every-record sweeps run over integer payloads (journaled as
+pickle records) and ``StreamPoint`` payloads (journaled as columnar
+records). States compare as a memo-free pickle: a resident restored from
+a checkpoint carries its own unpickled dtype object where a live one
+shares numpy's, and a memo would encode that sharing, not the state.
+
 This suite asserts exact RNG-path equivalence, so it is run with
 ``-p no:randomly`` in CI (random test order does not change outcomes —
 each test seeds its own samplers — but the flag keeps failure replays
 deterministic).
 """
 
+import io
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from repro.core import ExponentialReservoir
@@ -32,6 +40,7 @@ from repro.persist import (
 )
 from repro.persist.wal import last_record_span
 from repro.shard import ShardedReservoir
+from repro.streams import StreamPoint
 
 CAPACITY = 8
 SEED = 42
@@ -39,14 +48,34 @@ SH_CAPACITY, SH_WORKERS, SH_SEED = 12, 3, 5
 
 
 def _canon(state):
-    return pickle.dumps(state)
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, pickle.HIGHEST_PROTOCOL)
+    pickler.fast = True  # no memo: compare state, not object sharing
+    pickler.dump(state)
+    return buffer.getvalue()
+
+
+#: Run a sweep over integer and StreamPoint payloads.
+PAYLOADS = pytest.mark.parametrize(
+    "points", [False, True], ids=["int", "streampoint"]
+)
+
+
+def _points(xs):
+    """StreamPoints for arrivals ``xs``: row views of one chunk array, as
+    generators produce, with ``None`` and ``-1`` among the labels."""
+    xs = [int(x) for x in xs]
+    arr = np.asarray(xs, dtype=np.float64)
+    chunk = np.column_stack([arr * 0.5, -arr, np.sqrt(arr)])
+    return [
+        StreamPoint(x + 1, row, None if x % 3 == 0 else x % 4 - 1)
+        for x, row in zip(xs, chunk)
+    ]
 
 
 def _kill(engine):
     """Abandon the engine without a final checkpoint (process death)."""
-    engine._unhook_dispatch()
-    engine._close_writers()
-    engine._closed = True
+    engine.close(final_checkpoint=False)
 
 
 def _serial_sampler():
@@ -59,11 +88,12 @@ def _sharded_sampler():
     )
 
 
-def _serial_ops(n=18, seed=0):
+def _serial_ops(n=18, seed=0, points=False):
     """Deterministic mix of per-item offers and offer_many blocks.
 
     ``offer`` and ``offer_many`` consume different random sequences, so
-    the mix is what proves the WAL preserves the exact call shape."""
+    the mix is what proves the WAL preserves the exact call shape. With
+    ``points`` the payloads are StreamPoints instead of integers."""
     rnd = random.Random(seed)
     ops, x = [], 0
     for _ in range(n):
@@ -74,6 +104,11 @@ def _serial_ops(n=18, seed=0):
             k = rnd.randrange(1, 5)
             ops.append(("b", list(range(x, x + k))))
             x += k
+    if points:
+        ops = [
+            (op, _points([data])[0] if op == "o" else _points(data))
+            for op, data in ops
+        ]
     return ops
 
 
@@ -91,8 +126,9 @@ def _serial_reference(ops):
     return _canon(sampler.state_dict())
 
 
-def _blocks(n=12, size=7):
-    return [list(range(i * size, (i + 1) * size)) for i in range(n)]
+def _blocks(n=12, size=7, points=False):
+    blocks = [list(range(i * size, (i + 1) * size)) for i in range(n)]
+    return [_points(b) for b in blocks] if points else blocks
 
 
 def _sharded_reference(blocks):
@@ -113,9 +149,10 @@ def _newest_nonempty_segment(directory, stream="main"):
 
 
 class TestSerialKillSweep:
-    def test_kill_at_every_record_boundary(self, tmp_path):
+    @PAYLOADS
+    def test_kill_at_every_record_boundary(self, tmp_path, points):
         """Crash after each of the N ops; recover+resume == uninterrupted."""
-        ops = _serial_ops()
+        ops = _serial_ops(points=points)
         want = _serial_reference(ops)
         for k in range(len(ops) + 1):
             journal = tmp_path / f"j{k:02d}"
@@ -184,8 +221,9 @@ class TestSerialKillSweep:
 
 
 class TestShardedKillSweep:
-    def test_kill_at_every_block_boundary(self, tmp_path):
-        blocks = _blocks()
+    @PAYLOADS
+    def test_kill_at_every_block_boundary(self, tmp_path, points):
+        blocks = _blocks(points=points)
         want = _sharded_reference(blocks)
         for k in range(len(blocks) + 1):
             journal = tmp_path / f"j{k:02d}"
