@@ -44,7 +44,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from repro.core import (
     ExponentialReservoir,
@@ -64,6 +64,7 @@ from repro.streams import (
     IntrusionStream,
     chunked,
     load_stream_csv,
+    load_stream_csv_chunks,
     save_stream_csv,
 )
 
@@ -359,6 +360,14 @@ def _build_sampler(args: argparse.Namespace):
     )
 
 
+def _csv_blocks(path, batch_size: int) -> Iterator[list]:
+    """A stream CSV as blocks of ``batch_size`` points, each parsed as one
+    block; one-point blocks still parse the file in the reader's chunks."""
+    if batch_size == 1:
+        return chunked(load_stream_csv(path), 1)
+    return load_stream_csv_chunks(path, batch_size)
+
+
 def _cmd_sample(args: argparse.Namespace) -> int:
     if args.batch_size < 1:
         raise SystemExit(f"--batch-size must be >= 1, got {args.batch_size}")
@@ -384,18 +393,16 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if args.format == "kdd99":
         from repro.streams.kdd99 import load_kdd99
 
-        stream = load_kdd99(args.input)
+        blocks = chunked(load_kdd99(args.input), args.batch_size)
     else:
-        stream = load_stream_csv(args.input)
+        blocks = _csv_blocks(args.input, args.batch_size)
     count = 0
-    if args.batch_size == 1:
-        for point in stream:
-            sampler.offer(point)
-            count += 1
-    else:
-        for block in chunked(stream, args.batch_size):
+    for block in blocks:
+        if args.batch_size == 1:
+            sampler.offer(block[0])
+        else:
             sampler.offer_many(block)
-            count += len(block)
+        count += len(block)
     if engine is not None:
         engine.close()  # final checkpoint + fsync
     written = save_stream_csv(sampler.payloads(), args.output)
@@ -431,7 +438,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         print(f"truncated damaged tail of {path} ({reason})")
     count = 0
     if args.input is not None:
-        for block in chunked(load_stream_csv(args.input), args.batch_size):
+        for block in _csv_blocks(args.input, args.batch_size):
             engine.offer_many(block)
             count += len(block)
     engine.close()

@@ -531,3 +531,58 @@ class TestRecover:
     def test_recover_requires_checkpoint_dir(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["recover", "-o", str(tmp_path / "out.csv")])
+
+
+class TestCsvBlockInput:
+    """With --batch-size > 1 the CLI reads through the block CSV reader."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        import repro.cli as cli
+
+        calls = []
+        real = cli.load_stream_csv_chunks
+
+        def spy(path, chunk_size):
+            calls.append((str(path), chunk_size))
+            return real(path, chunk_size)
+
+        monkeypatch.setattr(cli, "load_stream_csv_chunks", spy)
+        return calls
+
+    @pytest.fixture
+    def stream_csv(self, tmp_path):
+        path = tmp_path / "in.csv"
+        save_stream_csv(EvolvingClusterStream(length=300, rng=4), path)
+        return path
+
+    def test_sample_reads_blocks_of_batch_size(self, spy, stream_csv, tmp_path):
+        out = tmp_path / "s.csv"
+        main(["sample", "-i", str(stream_csv), "--capacity", "20",
+              "--batch-size", "64", "-o", str(out)])
+        assert spy == [(str(stream_csv), 64)]
+        assert len(list(load_stream_csv(out))) == 20
+
+    def test_recover_input_reads_blocks(self, spy, stream_csv, tmp_path):
+        journal = tmp_path / "j"
+        main(["sample", "-i", str(stream_csv), "--capacity", "20",
+              "--batch-size", "1", "-o", str(tmp_path / "a.csv"),
+              "--checkpoint-dir", str(journal), "--wal-sync", "never"])
+        assert spy == []  # per-point offers read the flat reader
+        main(["recover", "--checkpoint-dir", str(journal),
+              "-i", str(stream_csv), "--batch-size", "32",
+              "-o", str(tmp_path / "b.csv")])
+        assert spy == [(str(stream_csv), 32)]
+
+    def test_batch_sizes_agree_on_counters(self, stream_csv, tmp_path, capsys):
+        for batch in ("1", "50"):
+            main(["sample", "-i", str(stream_csv), "--capacity", "20",
+                  "--batch-size", batch, "-o", str(tmp_path / f"{batch}.csv")])
+            assert "streamed 300 points" in capsys.readouterr().out
+
+    def test_bad_row_is_located(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("index,label,v0\n1,,0.5\n2,,0.5,0.5\n")
+        with pytest.raises(ValueError, match="line 3: ragged"):
+            main(["sample", "-i", str(path), "--batch-size", "8",
+                  "-o", str(tmp_path / "o.csv")])
