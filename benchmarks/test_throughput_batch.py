@@ -6,9 +6,9 @@ numbers to ``BENCH_throughput.json`` at the repo root (the same payload
 ``repro bench -o BENCH_throughput.json`` writes).
 
 The acceptance bar: batched ingestion into an ``ExponentialReservoir`` of
-``n = 10_000`` over a 200k-point stream must run at >= 5x the per-item
-points/sec. In practice the virtual-slot closed form lands well above
-that; the margin absorbs CI-runner noise.
+``n = 10_000`` over a 200k-point stream must run at >= 25x the per-item
+points/sec. The virtual-slot scatter kernel lands well above that; the
+margin absorbs CI-runner noise.
 """
 
 import pytest
@@ -34,7 +34,7 @@ def _case(report, name):
 def test_exponential_batch_speedup_meets_bar(report):
     result = _case(report, "exponential_n10000")
     assert result["stream_length"] == 200_000
-    assert result["speedup"] >= 5.0, (
+    assert result["speedup"] >= 25.0, (
         f"offer_many only {result['speedup']:.2f}x over per-item "
         f"({result['batched_points_per_sec']:,.0f} vs "
         f"{result['per_item_points_per_sec']:,.0f} pts/s)"

@@ -21,19 +21,37 @@ application's ``lambda``, not the other way around.
 from __future__ import annotations
 
 import math
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.bias import ExponentialBias
-from repro.core.reservoir import ReservoirSampler
+from repro.core.reservoir import _SAMPLER_CLASSES, ReservoirSampler
 from repro.utils.rng import RngLike
 
 __all__ = ["ExponentialReservoir"]
 
 
+_NO_PAYLOADS = np.empty(0, dtype=object)
+_NO_INDICES = np.empty(0, dtype=np.int64)
+
+
+def _object_array(block: Sequence[Any]) -> np.ndarray:
+    """1-D object array of ``block`` (safe for tuple payloads)."""
+    arr = np.empty(len(block), dtype=object)
+    arr[:] = block
+    return arr
+
+
 class ExponentialReservoir(ReservoirSampler):
     """Biased reservoir sampler implementing Algorithm 2.1.
+
+    Residents live in arrays of length ``capacity``: payloads (object),
+    local arrival indices and *global* arrival indices (int64).
+    The global axis is the whole-stream position of each resident when the
+    reservoir is one shard of a partitioned stream (:meth:`ingest`,
+    :mod:`repro.shard`); for a stand-alone reservoir it equals the local
+    arrival index.
 
     Parameters
     ----------
@@ -76,19 +94,63 @@ class ExponentialReservoir(ReservoirSampler):
         self.lam = 1.0 / self.capacity
         self.requested_lam = float(lam) if lam is not None else self.lam
         self.bias = ExponentialBias(self.lam)
+        # The resident arrays are allocated on the first insert, so that
+        # building a reservoir costs no O(n) object-array fill.
+        self._pay = _NO_PAYLOADS
+        self._arr = self._glob = _NO_INDICES
+        self._size = 0
+
+    def _allocate(self) -> None:
+        """Allocate empty resident arrays of length ``capacity``."""
+        n = self.capacity
+        self._pay = np.empty(n, dtype=object)
+        self._arr = np.empty(n, dtype=np.int64)
+        self._glob = np.empty(n, dtype=np.int64)
+
+    # ------------------------------------------------------------------ #
+    # Ingestion
+    # ------------------------------------------------------------------ #
 
     def offer(self, payload: Any) -> bool:
         """Algorithm 2.1 step: deterministic insert, ``F(t)``-biased eject."""
-        fill = self.fill_fraction  # F(t), evaluated before this arrival
+        size = self._size  # n F(t), evaluated before this arrival
         self.t += 1
         self.offers += 1
-        if self.is_full or self.rng.random() < fill:
-            self._replace_random(payload)
+        self.insertions += 1
+        if size == self.capacity or self.rng.random() < size / self.capacity:
+            slot = int(self.rng.integers(size))
+            self.ejections += 1
+            self._record_op(("replace", slot))
         else:
-            self._append(payload)
+            if size == 0:
+                self._allocate()
+            slot = size
+            self._size = size + 1
+            self._record_op(("append", slot))
+        self._pay[slot] = payload
+        self._arr[slot] = self._glob[slot] = self.t
         return True
 
-    def _offer_block(self, block: List[Any]) -> int:
+    def ingest(self, payloads: np.ndarray, global_indices: np.ndarray) -> int:
+        """Block ingest with explicit global arrival indices.
+
+        ``payloads`` is a 1-D object array and ``global_indices`` the
+        matching whole-stream arrival index per item, in stream order.
+        Consumes the same randomness as :meth:`offer_many` over the same
+        block. Returns the number of offers (all are stored under
+        Algorithm 2.1).
+        """
+        b = len(payloads)
+        if b:
+            self._offer_block(
+                payloads, np.asarray(global_indices, dtype=np.int64)
+            )
+            self._mark_compact()
+        return b
+
+    def _offer_block(
+        self, block: Sequence[Any], glob: Optional[np.ndarray] = None
+    ) -> int:
         """Closed-form Algorithm 2.1 over a block (same distribution).
 
         Uses the *virtual-slot* formulation of the policy: each arrival is
@@ -103,32 +165,99 @@ class ExponentialReservoir(ReservoirSampler):
         are unobservable). Newly occupied virtual slots are compacted onto
         the storage tail in first-hit order, matching the per-item append
         order.
+
+        ``last[victims] = arange(b)`` relies on numpy fancy-index scatter
+        semantics (duplicate indices keep the last write) to find each
+        slot's final writer in O(b); the reversed scatter finds each new
+        slot's *first* hit, which fixes the append order. ``glob`` holds
+        the block's global arrival indices (default: the local ones).
         """
         n = self.capacity
         b = len(block)
         t0 = self.t
-        s0 = len(self._payloads)
+        s0 = self._size
+        pay = block if isinstance(block, np.ndarray) else _object_array(block)
+        if glob is None:
+            glob = t0 + 1 + np.arange(b, dtype=np.int64)
+        if s0 == 0:
+            self._allocate()
         victims = self.rng.integers(0, n, size=b)
-        uniq, first_pos = np.unique(victims, return_index=True)
-        last_pos = b - 1 - np.unique(victims[::-1], return_index=True)[1]
-        existing = uniq < s0
-        for slot, w in zip(
-            uniq[existing].tolist(), last_pos[existing].tolist()
-        ):
-            self._payloads[slot] = block[w]
-            self._arrivals[slot] = t0 + w + 1
-            self._ops.append(("replace", slot))
-        new_mask = ~existing
-        order = np.argsort(first_pos[new_mask], kind="stable")
-        for w in last_pos[new_mask][order].tolist():
-            self._ops.append(("append", len(self._payloads)))
-            self._payloads.append(block[w])
-            self._arrivals.append(t0 + w + 1)
+        last = np.full(n, -1, dtype=np.int64)
+        last[victims] = np.arange(b)
+        if s0 == n:
+            # Steady state: every touched slot is an in-place replacement.
+            touched = np.nonzero(last >= 0)[0]
+            w = last[touched]
+            new_count = 0
+            self._pay[touched] = pay[w]
+            self._arr[touched] = t0 + 1 + w
+            self._glob[touched] = glob[w]
+        else:
+            first = np.full(n, -1, dtype=np.int64)
+            first[victims[::-1]] = np.arange(b - 1, -1, -1)
+            touched = np.nonzero(last >= 0)[0]
+            existing = touched[touched < s0]
+            w = last[existing]
+            self._pay[existing] = pay[w]
+            self._arr[existing] = t0 + 1 + w
+            self._glob[existing] = glob[w]
+            new_slots = touched[touched >= s0]
+            order = np.argsort(first[new_slots], kind="stable")
+            wn = last[new_slots[order]]
+            new_count = len(wn)
+            dest = np.arange(s0, s0 + new_count)
+            self._pay[dest] = pay[wn]
+            self._arr[dest] = t0 + 1 + wn
+            self._glob[dest] = glob[wn]
+            self._size = s0 + new_count
         self.t = t0 + b
         self.offers += b
         self.insertions += b
-        self.ejections += b - int(new_mask.sum())
+        self.ejections += b - new_count
         return b
+
+    # ------------------------------------------------------------------ #
+    # Inspection (array-backed overrides)
+    # ------------------------------------------------------------------ #
+
+    @property
+    def size(self) -> int:
+        return self._size
+
+    def payloads(self) -> List[Any]:
+        """Copy of the resident payloads (order is storage order)."""
+        return self._pay[: self._size].tolist()
+
+    def arrival_indices(self) -> np.ndarray:
+        """1-based local arrival indices of the residents (int64 copy)."""
+        return self._arr[: self._size].copy()
+
+    def global_arrivals(self) -> np.ndarray:
+        """Global (whole-stream) arrival index per resident."""
+        return self._glob[: self._size].copy()
+
+    # ------------------------------------------------------------------ #
+    # Snapshots
+    # ------------------------------------------------------------------ #
+
+    def _storage_state(self) -> Dict[str, Any]:
+        k = self._size
+        return {
+            "payloads": self._pay[:k].tolist(),
+            "arrivals": self._arr[:k].tolist(),
+            "global_arrivals": self._glob[:k].tolist(),
+        }
+
+    def _restore_storage(self, state: Dict[str, Any]) -> None:
+        k = len(state["payloads"])
+        self._allocate()
+        # Elementwise object assignment (tuple payloads must not broadcast).
+        self._pay[:k] = _object_array(state["payloads"])
+        self._arr[:k] = state["arrivals"]
+        # Snapshots of a stand-alone reservoir written before the global
+        # axis was stored have it equal to the local one.
+        self._glob[:k] = state.get("global_arrivals", state["arrivals"])
+        self._size = k
 
     def _extra_state(self) -> dict:
         return {"requested_lam": self.requested_lam}
@@ -167,3 +296,8 @@ class ExponentialReservoir(ReservoirSampler):
         if age < 0:
             raise ValueError(f"age must be >= 0, got {age}")
         return (1.0 - 1.0 / self.capacity) ** age
+
+
+# Sharded checkpoints written before the shard kernel moved into
+# ExponentialReservoir name their workers' class ArrayExponentialShard.
+_SAMPLER_CLASSES["ArrayExponentialShard"] = ExponentialReservoir

@@ -6,10 +6,15 @@ Subclasses implement the paper's specific insertion/ejection policies; this
 module provides the storage, counters, and inspection API common to all of
 them.
 
-Storage layout: two parallel Python lists, ``_payloads`` (arbitrary user
-objects) and ``_arrivals`` (1-based arrival indices). Parallel lists keep
-per-offer overhead minimal for multi-hundred-thousand-point streams while
-still letting callers attach any payload type.
+Storage layout: by default two parallel Python lists, ``_payloads``
+(arbitrary user objects) and ``_arrivals`` (1-based arrival indices),
+which keep per-offer overhead minimal while letting callers attach any
+payload type. Families with bespoke storage override the inspection and
+snapshot hooks: :class:`~repro.core.biased.ExponentialReservoir` keeps
+its residents in preallocated numpy arrays so its block kernel can write
+them with scatters, and
+:class:`~repro.core.sliding_window.ChainSampler` keeps them inside its
+chains.
 """
 
 from __future__ import annotations
@@ -82,12 +87,9 @@ class ReservoirSampler(ABC):
         self._arrivals: List[int] = []
         # Per-offer mutation log (see `last_ops`): lets consumers such as
         # the kNN classifier mirror the reservoir incrementally instead of
-        # re-snapshotting it on every prediction. During an `offer_many`
-        # batch the log accumulates across the whole batch instead of
-        # resetting per arrival (`_batch_depth` > 0).
+        # re-snapshotting it on every prediction.
         self._ops: List[Tuple] = []
         self._ops_t = -1
-        self._batch_depth = 0
         # Cached struct-of-arrays resident view (see `resident_columns`):
         # (mutation key, ResidentColumns) or None.
         self._columns_cache: Optional[Tuple[Tuple, ResidentColumns]] = None
@@ -174,10 +176,10 @@ class ReservoirSampler(ABC):
         random *sequence* consumed may therefore differ from the per-item
         path; only the distribution is guaranteed.
 
-        After a batch, :attr:`last_ops` describes the storage mutations of
-        the whole batch (in order) rather than of the final arrival only.
-        The return value follows the :meth:`extend` contract: offers stored,
-        not net growth.
+        A non-empty batch leaves :attr:`last_ops` as ``[("compact",)]``:
+        storage changed as a whole, and consumers re-snapshot. The return
+        value follows the :meth:`extend` contract: offers stored, not net
+        growth.
         """
         block = (
             payloads
@@ -186,19 +188,17 @@ class ReservoirSampler(ABC):
         )
         if not block:
             return 0
-        self._begin_batch_log()
-        try:
-            stored = self._offer_block(block)
-        finally:
-            self._end_batch_log()
+        stored = self._offer_block(block)
+        self._mark_compact()
         return stored
 
     def _offer_block(self, block: List[Any]) -> int:
         """Batch-ingestion hook: process ``block`` and return stored count.
 
         The base implementation is the per-item loop; subclasses override
-        it with vectorized fast paths. Called with the batch log already
-        open, so mutation records accumulate across the block.
+        it with vectorized fast paths that write storage in bulk and keep
+        no per-slot mutation records (:meth:`offer_many` replaces the log
+        afterwards).
         """
         stored = 0
         for payload in block:
@@ -206,35 +206,27 @@ class ReservoirSampler(ABC):
                 stored += 1
         return stored
 
-    def _begin_batch_log(self) -> None:
-        """Open a batch scope: `last_ops` accumulates until the scope ends."""
-        if self._batch_depth == 0:
-            self._ops = []
-            self._ops_t = self.t
-        self._batch_depth += 1
-
-    def _end_batch_log(self) -> None:
-        """Close a batch scope, pinning `last_ops` to the final position."""
-        self._batch_depth -= 1
-        if self._batch_depth == 0:
-            self._ops_t = self.t
-
     def _record_op(self, op: Tuple) -> None:
-        """Append a mutation record for the current offer (or open batch)."""
-        if self._batch_depth == 0 and self._ops_t != self.t:
+        """Append a mutation record for the current offer."""
+        if self._ops_t != self.t:
             self._ops = []
             self._ops_t = self.t
         self._ops.append(op)
 
+    def _mark_compact(self) -> None:
+        """Set :attr:`last_ops` to the re-snapshot signal after a block."""
+        self._ops = [("compact",)]
+        self._ops_t = self.t
+
     @property
     def last_ops(self) -> List[Tuple]:
-        """Storage mutations performed by the most recent ``offer`` (or, in
-        order, by the most recent ``offer_many`` batch).
+        """Storage mutations performed by the most recent ``offer``.
 
         Records are ``("append", slot)``, ``("replace", slot)``, or
         ``("compact",)`` (slots were removed and remaining residents
         re-indexed — consumers should re-snapshot). Empty when the last
-        offer changed nothing.
+        offer changed nothing. After a non-empty ``offer_many`` batch the
+        log is exactly ``[("compact",)]``.
         """
         return list(self._ops) if self._ops_t == self.t else []
 
@@ -400,7 +392,8 @@ class ReservoirSampler(ABC):
     def entries(self) -> List[SampleEntry]:
         """Copy of the residents as :class:`SampleEntry` records."""
         return [
-            SampleEntry(a, p) for a, p in zip(self._arrivals, self._payloads)
+            SampleEntry(a, p)
+            for a, p in zip(self.arrival_indices().tolist(), self.payloads())
         ]
 
     def _columns_key(self) -> Tuple:
@@ -438,10 +431,10 @@ class ReservoirSampler(ABC):
         return columns
 
     def __len__(self) -> int:
-        return len(self._payloads)
+        return self.size
 
     def __iter__(self) -> Iterator[Any]:
-        return iter(list(self._payloads))
+        return iter(self.payloads())
 
     def __repr__(self) -> str:
         return (
@@ -484,6 +477,7 @@ def from_state_dict(state: Dict[str, Any]) -> ReservoirSampler:
             f"{cls.__name__}._construct_from_state rebuilt capacity "
             f"{obj.capacity}, snapshot says {state['capacity']}"
         )
+    _check_storage(state, obj.capacity)
     obj.t = int(state["t"])
     obj.offers = int(state["offers"])
     obj.insertions = int(state["insertions"])
@@ -494,5 +488,32 @@ def from_state_dict(state: Dict[str, Any]) -> ReservoirSampler:
     # The mutation log describes live offers, not a restore; start clean.
     obj._ops = []
     obj._ops_t = -1
-    obj._batch_depth = 0
     return obj
+
+
+def _check_storage(state: Dict[str, Any], capacity: int) -> None:
+    """Reject resident storage no live sampler could have produced.
+
+    Raises ``ValueError`` naming the field when the per-resident lists
+    disagree in length, hold more residents than ``capacity``, or carry
+    an arrival index outside ``[1, t]``.
+    """
+    k = len(state["payloads"])
+    for field in ("arrivals", "global_arrivals"):
+        if field in state and len(state[field]) != k:
+            raise ValueError(
+                f"snapshot field {field!r} has {len(state[field])} "
+                f"entries, 'payloads' has {k}"
+            )
+    if k > capacity:
+        raise ValueError(
+            f"snapshot field 'payloads' holds {k} residents, more than "
+            f"capacity {capacity}"
+        )
+    if k:
+        arrivals = np.asarray(state["arrivals"], dtype=np.int64)
+        t = int(state["t"])
+        if arrivals.min() < 1 or arrivals.max() > t:
+            raise ValueError(
+                f"snapshot field 'arrivals' has an index outside [1, {t}]"
+            )

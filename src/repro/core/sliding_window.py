@@ -177,12 +177,6 @@ class ChainSampler(ReservoirSampler):
     def size(self) -> int:
         return sum(1 for c in self._chains if c.chain)
 
-    def __len__(self) -> int:
-        return self.size
-
-    def __iter__(self):
-        return iter(self.payloads())
-
     def inclusion_probability(self, r: int, t: Optional[int] = None) -> float:
         """Per-slot membership probability ``1/min(t, W)`` inside the
         window, 0 outside.

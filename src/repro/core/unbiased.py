@@ -85,7 +85,6 @@ class UnbiasedReservoir(ReservoirSampler):
             for slot, w in zip(slots.tolist(), writers.tolist()):
                 self._payloads[slot] = block[idx + w]
                 self._arrivals[slot] = t0 + w + 1
-                self._ops.append(("replace", slot))
             self.insertions += m
             self.ejections += m
         self.t = t0 + b
@@ -194,7 +193,6 @@ class SkipUnbiasedReservoir(ReservoirSampler):
                 slot = int(self.rng.integers(len(self._payloads)))
                 self._payloads[slot] = block[idx + pos]
                 self._arrivals[slot] = t0 + pos + 1
-                self._ops.append(("replace", slot))
                 self.insertions += 1
                 self.ejections += 1
                 stored += 1

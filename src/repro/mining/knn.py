@@ -105,8 +105,12 @@ class ReservoirKnnClassifier:
         self._matrix[slot] = point.values
         self._labels[slot] = _UNLABELED if point.label is None else point.label
 
-    def _apply_ops(self) -> None:
-        """Fold the sampler's latest mutations into the mirror."""
+    def _apply_ops(self, point: StreamPoint) -> None:
+        """Fold the mutations of offering ``point`` into the mirror.
+
+        Every slot an offer logs holds the point it offered, so the mirror
+        writes ``point`` itself and never reads sampler storage.
+        """
         if not self.sampler.supports_mutation_log:
             self._rebuild()
             return
@@ -116,10 +120,8 @@ class ReservoirKnnClassifier:
             # from the same offer are stale. Re-snapshot wholesale.
             self._rebuild()
             return
-        payloads = self.sampler._payloads  # slot-accurate view
-        for op in ops:
-            kind, slot = op
-            self._write_row(slot, payloads[slot])
+        for kind, slot in ops:
+            self._write_row(slot, point)
             if kind == "append":
                 self._rows = max(self._rows, slot + 1)
         self._synced_insertions = self.sampler.insertions
@@ -170,7 +172,7 @@ class ReservoirKnnClassifier:
         """Offer ``point`` to the backing reservoir (training step)."""
         self._ensure_synced()
         inserted = self.sampler.offer(point)
-        self._apply_ops()
+        self._apply_ops(point)
         return inserted
 
     def predict_then_observe(self, point: StreamPoint) -> Optional[int]:

@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.core.biased import _object_array
 from repro.core.reservoir import from_state_dict
 from repro.persist.checkpoint import (
     list_checkpoints,
@@ -67,7 +68,6 @@ from repro.persist.wal import (
     scan_wal,
     truncate_to,
 )
-from repro.shard.worker import _object_array
 
 __all__ = ["DurableReservoir", "RecoveryInfo", "PERSIST_SCHEMA_VERSION"]
 

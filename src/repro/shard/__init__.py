@@ -10,8 +10,10 @@ Public surface:
   thinning.
 * :class:`RoundRobinPartitioner` / :class:`HashByKeyPartitioner` — stream
   routing policies (:mod:`repro.shard.partition`).
-* :class:`ArrayExponentialShard` / :class:`ShardWorker` — the local
-  samplers and their global-axis bookkeeping (:mod:`repro.shard.worker`).
+* :class:`ShardWorker` — a local sampler (a plain
+  :class:`~repro.core.biased.ExponentialReservoir` or
+  :class:`~repro.core.space_constrained.SpaceConstrainedReservoir`) and
+  its global-axis bookkeeping (:mod:`repro.shard.worker`).
 """
 
 from repro.shard.coordinator import ShardedReservoir
@@ -20,13 +22,12 @@ from repro.shard.partition import (
     Partitioner,
     RoundRobinPartitioner,
 )
-from repro.shard.worker import ArrayExponentialShard, ShardWorker
+from repro.shard.worker import ShardWorker
 
 __all__ = [
     "ShardedReservoir",
     "Partitioner",
     "RoundRobinPartitioner",
     "HashByKeyPartitioner",
-    "ArrayExponentialShard",
     "ShardWorker",
 ]

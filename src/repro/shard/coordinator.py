@@ -28,7 +28,8 @@ Backends
 --------
 
 ``backend="inline"`` holds the ``W`` workers in-process (the default; on
-a single core all the speedup comes from the workers' scatter kernel).
+a single core the workers run the same block kernel as one serial
+reservoir, so the facade adds routing, not speed).
 ``backend="process"`` runs each worker in its own OS process, shipping
 blocks over pipes and worker state back as
 :meth:`~repro.core.reservoir.ReservoirSampler.state_dict` snapshots —
@@ -44,6 +45,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional
 
 import numpy as np
 
+from repro.core.biased import ExponentialReservoir, _object_array
 from repro.core.columns import ResidentColumns, build_resident_columns
 from repro.core.merge import fold_exponential_reservoirs
 from repro.core.reservoir import SNAPSHOT_VERSION, SampleEntry
@@ -53,7 +55,7 @@ from repro.shard.partition import (
     Partitioner,
     RoundRobinPartitioner,
 )
-from repro.shard.worker import ArrayExponentialShard, ShardWorker, _object_array
+from repro.shard.worker import ShardWorker
 from repro.utils.rng import RngLike, as_generator, require_probability
 
 __all__ = ["ShardedReservoir", "_GlobalAxisView"]
@@ -122,8 +124,8 @@ class ShardedReservoir:
         2.1); for ``family="space_constrained"`` it is required and sets
         the insertion gate ``p_in = capacity * lam``.
     family:
-        Local sampler family: ``"exponential"`` (Algorithm 2.1 via the
-        scatter-kernel shard) or ``"space_constrained"`` (Algorithm 3.1).
+        Local sampler family: ``"exponential"`` (Algorithm 2.1) or
+        ``"space_constrained"`` (Algorithm 3.1).
     partitioner:
         A :class:`~repro.shard.partition.Partitioner`; defaults to
         round-robin. Its worker count must equal ``workers``.
@@ -215,7 +217,7 @@ class ShardedReservoir:
         for i in range(workers):
             child = np.random.default_rng(children[i])
             if family == "exponential":
-                sampler = ArrayExponentialShard(capacity=m, rng=child)
+                sampler = ExponentialReservoir(capacity=m, rng=child)
             else:
                 sampler = SpaceConstrainedReservoir(
                     capacity=m, p_in=self.p_in, rng=child

@@ -7,15 +7,11 @@ age axis (:mod:`repro.shard.coordinator`).
 
 Two local sampler families are supported:
 
-* ``"exponential"`` — :class:`ArrayExponentialShard`, a storage-optimized
-  Algorithm 2.1 reservoir. It consumes exactly the same random sequence as
-  :class:`~repro.core.biased.ExponentialReservoir`'s batched path (one
-  bulk ``integers(0, n, size=b)`` draw per block) and reaches an identical
-  observable state, but replaces the double ``np.unique`` + Python-loop
-  writes with O(b + n) fancy-index scatters into preallocated numpy
-  arrays. On one core this kernel — not process parallelism — is what
-  makes the sharded engine several times faster than the serial
-  ``offer_many`` path.
+* ``"exponential"`` — a plain
+  :class:`~repro.core.biased.ExponentialReservoir`. Its
+  :meth:`~repro.core.biased.ExponentialReservoir.ingest` runs the same
+  block kernel as ``offer_many`` and records the global index of every
+  resident next to its local one.
 * ``"space_constrained"`` — a plain
   :class:`~repro.core.space_constrained.SpaceConstrainedReservoir` whose
   payloads are wrapped as ``(global_index, payload)`` pairs; the wrapper
@@ -28,190 +24,13 @@ the process backend is state-identical to the inline one.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
-from repro.core.biased import ExponentialReservoir
-from repro.core.reservoir import SampleEntry, from_state_dict
-from repro.core.space_constrained import SpaceConstrainedReservoir
-from repro.utils.rng import RngLike
+from repro.core.reservoir import from_state_dict
 
-__all__ = ["ArrayExponentialShard", "ShardWorker"]
-
-
-def _object_array(block: List[Any]) -> np.ndarray:
-    """1-D object array of ``block`` (safe for tuple payloads)."""
-    arr = np.empty(len(block), dtype=object)
-    arr[:] = block
-    return arr
-
-
-class ArrayExponentialShard(ExponentialReservoir):
-    """Algorithm 2.1 on preallocated arrays with scatter-based block ingest.
-
-    Distribution, counters, resident ordering, and RNG consumption are
-    identical to :class:`ExponentialReservoir`'s ``offer_many`` path — the
-    virtual-slot kernel draws the same single bulk victim vector and keeps
-    each slot's last writer, with newly occupied slots compacted to the
-    tail in first-hit order. Only the data movement differs: per-slot
-    Python list writes become three fancy-index scatters.
-
-    Every resident additionally carries its global arrival index
-    (:meth:`global_arrivals`), fed in through :meth:`ingest`; the plain
-    ``offer``/``offer_many`` paths default the global axis to the local
-    one, which is exact for ``W = 1``.
-    """
-
-    supports_mutation_log = False  # writes land via bulk scatters
-
-    def __init__(
-        self,
-        lam: Optional[float] = None,
-        capacity: Optional[int] = None,
-        rng: RngLike = None,
-    ) -> None:
-        super().__init__(lam=lam, capacity=capacity, rng=rng)
-        n = self.capacity
-        self._pay = np.empty(n, dtype=object)
-        self._arr = np.zeros(n, dtype=np.int64)
-        self._glob = np.zeros(n, dtype=np.int64)
-        self._size_n = 0
-        self._scratch_last = np.empty(n, dtype=np.int64)
-        self._scratch_first = np.empty(n, dtype=np.int64)
-
-    # ------------------------------------------------------------------ #
-    # Ingestion
-    # ------------------------------------------------------------------ #
-
-    def ingest(self, payloads: np.ndarray, global_indices: np.ndarray) -> int:
-        """Block ingest with explicit global arrival indices.
-
-        ``payloads`` must be a 1-D object array and ``global_indices`` the
-        matching global (whole-stream) arrival index per item, in stream
-        order. Returns the number of offers (all are stored under
-        Algorithm 2.1).
-        """
-        b = len(payloads)
-        if b:
-            self._kernel(payloads, np.asarray(global_indices, dtype=np.int64))
-        return b
-
-    def offer(self, payload: Any) -> bool:
-        """Single arrival via the block kernel (global index = local)."""
-        g = np.asarray([self.t + 1], dtype=np.int64)
-        self._kernel(_object_array([payload]), g)
-        return True
-
-    def _offer_block(self, block: List[Any]) -> int:
-        g = self.t + 1 + np.arange(len(block), dtype=np.int64)
-        self._kernel(_object_array(block), g)
-        return len(block)
-
-    def _kernel(self, pay: np.ndarray, glob: np.ndarray) -> None:
-        """Virtual-slot block step (see ExponentialReservoir._offer_block).
-
-        ``last[victims] = arange(b)`` relies on numpy fancy-index scatter
-        semantics (duplicate indices keep the last write) to find each
-        slot's final writer in O(b); the reversed scatter finds each new
-        slot's *first* hit, which fixes the append order.
-        """
-        n = self.capacity
-        b = len(pay)
-        t0 = self.t
-        s0 = self._size_n
-        victims = self.rng.integers(0, n, size=b)
-        last = self._scratch_last
-        last.fill(-1)
-        last[victims] = np.arange(b)
-        if s0 == n:
-            # Steady state: every touched slot is an in-place replacement.
-            touched = np.nonzero(last >= 0)[0]
-            w = last[touched]
-            new_count = 0
-            self._pay[touched] = pay[w]
-            self._arr[touched] = t0 + 1 + w
-            self._glob[touched] = glob[w]
-        else:
-            first = self._scratch_first
-            first.fill(-1)
-            first[victims[::-1]] = np.arange(b - 1, -1, -1)
-            touched = np.nonzero(last >= 0)[0]
-            existing = touched[touched < s0]
-            w = last[existing]
-            self._pay[existing] = pay[w]
-            self._arr[existing] = t0 + 1 + w
-            self._glob[existing] = glob[w]
-            new_slots = touched[touched >= s0]
-            order = np.argsort(first[new_slots], kind="stable")
-            wn = last[new_slots[order]]
-            new_count = len(wn)
-            dest = np.arange(s0, s0 + new_count)
-            self._pay[dest] = pay[wn]
-            self._arr[dest] = t0 + 1 + wn
-            self._glob[dest] = glob[wn]
-            self._size_n = s0 + new_count
-        self.t = t0 + b
-        self.offers += b
-        self.insertions += b
-        self.ejections += b - new_count
-
-    # ------------------------------------------------------------------ #
-    # Inspection (array-backed overrides)
-    # ------------------------------------------------------------------ #
-
-    @property
-    def size(self) -> int:
-        return self._size_n
-
-    def payloads(self) -> List[Any]:
-        return self._pay[: self._size_n].tolist()
-
-    def arrival_indices(self) -> np.ndarray:
-        return self._arr[: self._size_n].copy()
-
-    def global_arrivals(self) -> np.ndarray:
-        """Global (whole-stream) arrival index per resident."""
-        return self._glob[: self._size_n].copy()
-
-    def entries(self) -> List[SampleEntry]:
-        return [
-            SampleEntry(int(a), p)
-            for a, p in zip(self._arr[: self._size_n], self._pay[: self._size_n])
-        ]
-
-    def __len__(self) -> int:
-        return self._size_n
-
-    def __iter__(self):
-        return iter(self.payloads())
-
-    # ------------------------------------------------------------------ #
-    # Snapshots
-    # ------------------------------------------------------------------ #
-
-    def _storage_state(self) -> Dict[str, Any]:
-        return {
-            "payloads": self.payloads(),
-            "arrivals": [int(a) for a in self._arr[: self._size_n]],
-        }
-
-    def _restore_storage(self, state: Dict[str, Any]) -> None:
-        payloads = state["payloads"]
-        k = len(payloads)
-        # Elementwise object assignment (tuple payloads must not broadcast).
-        self._pay[:k] = _object_array(payloads)
-        self._arr[:k] = state["arrivals"]
-        self._size_n = k
-
-    def _extra_state(self) -> Dict[str, Any]:
-        state = super()._extra_state()
-        state["global_arrivals"] = [int(g) for g in self._glob[: self._size_n]]
-        return state
-
-    def _restore_extra(self, state: Dict[str, Any]) -> None:
-        super()._restore_extra(state)
-        self._glob[: self._size_n] = state["global_arrivals"]
+__all__ = ["ShardWorker"]
 
 
 class ShardWorker:
@@ -220,8 +39,8 @@ class ShardWorker:
     Parameters
     ----------
     sampler:
-        The local reservoir (:class:`ArrayExponentialShard` or
-        :class:`SpaceConstrainedReservoir`).
+        The local reservoir (:class:`~repro.core.biased.ExponentialReservoir`
+        or :class:`~repro.core.space_constrained.SpaceConstrainedReservoir`).
     family:
         ``"exponential"`` or ``"space_constrained"`` — decides how global
         arrival indices are attached to residents.

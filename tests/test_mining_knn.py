@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.biased import ExponentialReservoir
 from repro.core.sliding_window import ChainSampler, WindowBuffer
+from repro.core.timestamped import TimestampedExponentialReservoir
 from repro.core.unbiased import UnbiasedReservoir
 from repro.core.variable import VariableReservoir
 from repro.mining.knn import ReservoirKnnClassifier
@@ -79,15 +81,29 @@ class TestPrediction:
         assert clf.predict_then_observe(second) == 0
 
 
+CHURN_SAMPLERS = {
+    "exponential": lambda seed: ExponentialReservoir(capacity=30, rng=seed),
+    "unbiased": lambda seed: UnbiasedReservoir(30, rng=seed),
+    "variable": lambda seed: VariableReservoir(
+        lam=1e-2, capacity=30, rng=seed
+    ),
+    "timestamped": lambda seed: TimestampedExponentialReservoir(
+        lam_time=0.04, capacity=30, rng=seed
+    ),
+}
+
+
 class TestMirrorConsistency:
-    def test_mirror_matches_reservoir_after_churn(self):
+    @pytest.mark.parametrize("name", sorted(CHURN_SAMPLERS))
+    def test_mirror_matches_reservoir_after_churn(self, name):
         """After heavy replacement churn, predictions must agree with a
         freshly built classifier over the same reservoir."""
-        res = UnbiasedReservoir(30, rng=1)
+        make = CHURN_SAMPLERS[name]
+        res = make(1)
         clf = ReservoirKnnClassifier(res)
         for p in two_blob_points(n_per_class=500, seed=2):
             clf.observe(p)
-        fresh = ReservoirKnnClassifier(UnbiasedReservoir(30, rng=99))
+        fresh = ReservoirKnnClassifier(make(99))
         fresh.sampler = res  # same reservoir, forced rebuild
         probe_rng = np.random.default_rng(3)
         for i in range(50):

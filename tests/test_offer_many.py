@@ -385,30 +385,34 @@ class TestFastPathDistribution:
 
 
 def _replay(ops, sampler, mirror):
-    """Apply a batch's ops to a dict mirror; None signals re-snapshot."""
-    if any(op[0] == "compact" for op in ops):
-        return None
+    """Apply ops to a dict mirror; a compact record re-snapshots."""
     payloads = sampler.payloads()
+    if any(op[0] == "compact" for op in ops):
+        return dict(enumerate(payloads))
     for kind, slot in ops:
         mirror[slot] = payloads[slot]
     return mirror
 
 
 class TestBatchMutationLog:
-    @pytest.mark.parametrize(
-        "name", ["exponential", "unbiased", "skip_unbiased", "window_buffer"]
-    )
+    @pytest.mark.parametrize("name", sorted(ALL_SAMPLERS))
     def test_ops_replay_reconstructs_state(self, name):
-        """Folding each batch's last_ops into a mirror reproduces the
-        reservoir exactly (samplers whose logs never compact)."""
+        """Every batch leaves the lone re-snapshot record, and folding the
+        logs of batches and single offers into a mirror reproduces the
+        reservoir exactly."""
         sampler = ALL_SAMPLERS[name](21)
-        assert sampler.supports_mutation_log
         mirror = {}
-        stream = list(range(900))
+        stream = list(range(999))
         for lo in range(0, len(stream), 111):
-            sampler.offer_many(stream[lo : lo + 111])
+            sampler.offer_many(stream[lo : lo + 110])
+            assert sampler.last_ops == [("compact",)]
             mirror = _replay(sampler.last_ops, sampler, mirror)
-            assert mirror is not None
+            assert mirror == dict(enumerate(sampler.payloads()))
+            sampler.offer(stream[lo + 110])
+            if sampler.supports_mutation_log:
+                mirror = _replay(sampler.last_ops, sampler, mirror)
+            else:
+                mirror = dict(enumerate(sampler.payloads()))
             assert mirror == dict(enumerate(sampler.payloads()))
 
     def test_timestamped_batch_log_compacts_on_decay(self):
@@ -420,18 +424,6 @@ class TestBatchMutationLog:
         # A long quiet gap forces decay ejections in the next batch.
         sampler.offer_many_at([10, 11], [100.0, 101.0])
         assert any(op[0] == "compact" for op in sampler.last_ops)
-
-    def test_last_ops_cover_whole_batch_not_last_item(self):
-        sampler = ExponentialReservoir(capacity=1000, rng=4)
-        sampler.offer_many(range(64))
-        ops = sampler.last_ops
-        # Far below capacity most arrivals append; the log must list one
-        # record per surviving arrival (the whole batch), not just the
-        # final arrival's single op.
-        assert len(ops) == sampler.size
-        assert len(ops) > 1
-        assert all(op[0] == "append" for op in ops)
-        assert sampler.ejections == 64 - sampler.size
 
     @pytest.mark.parametrize("name", ["exponential", "unbiased", "timestamped"])
     def test_knn_classifier_tracks_batched_sampler(self, name):

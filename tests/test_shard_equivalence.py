@@ -24,7 +24,6 @@ import pytest
 
 from repro.core import ExponentialReservoir, SpaceConstrainedReservoir
 from repro.shard import (
-    ArrayExponentialShard,
     HashByKeyPartitioner,
     RoundRobinPartitioner,
     ShardedReservoir,
@@ -84,26 +83,6 @@ class TestSingleWorkerEquivalence:
         _feed_blocks(fac, points)
         assert fac.payloads() == serial.payloads()
         assert list(fac.arrival_indices()) == list(serial.arrival_indices())
-
-    def test_array_shard_matches_exponential_reservoir(self):
-        """The scatter kernel IS ExponentialReservoir, observably."""
-        points = _stream(600)
-        reference = ExponentialReservoir(
-            capacity=32, rng=np.random.default_rng(9)
-        )
-        shard = ArrayExponentialShard(
-            capacity=32, rng=np.random.default_rng(9)
-        )
-        _feed_blocks(reference, points)
-        _feed_blocks(shard, points)
-        assert shard.payloads() == reference.payloads()
-        assert list(shard.arrival_indices()) == list(
-            reference.arrival_indices()
-        )
-        assert (
-            shard.rng.bit_generator.state
-            == reference.rng.bit_generator.state
-        )
 
 
 class TestShardedFacade:
