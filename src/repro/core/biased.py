@@ -79,6 +79,10 @@ class ExponentialReservoir(ReservoirSampler):
 
     exponential_design = True
 
+    #: Insertion probability of Algorithm 3.1; Algorithm 2.1 inserts every
+    #: arrival, and multiplying by 1.0 leaves its model floats unchanged.
+    p_in = 1.0
+
     def __init__(
         self,
         lam: Optional[float] = None,
@@ -137,84 +141,93 @@ class ExponentialReservoir(ReservoirSampler):
         ``payloads`` is a 1-D object array and ``global_indices`` the
         matching whole-stream arrival index per item, in stream order.
         Consumes the same randomness as :meth:`offer_many` over the same
-        block. Returns the number of offers (all are stored under
+        block. Returns the number of stored offers (all of them under
         Algorithm 2.1).
         """
-        b = len(payloads)
-        if b:
-            self._offer_block(
-                payloads, np.asarray(global_indices, dtype=np.int64)
-            )
-            self._mark_compact()
-        return b
+        if not len(payloads):
+            return 0
+        stored = self._offer_block(
+            payloads, np.asarray(global_indices, dtype=np.int64)
+        )
+        self._mark_compact()
+        return stored
 
     def _offer_block(
         self, block: Sequence[Any], glob: Optional[np.ndarray] = None
     ) -> int:
         """Closed-form Algorithm 2.1 over a block (same distribution).
 
-        Uses the *virtual-slot* formulation of the policy: each arrival is
-        thrown into one of ``n`` virtual slots uniformly at random. Hitting
-        an occupied slot evicts its resident (probability ``F(t)``, victim
-        uniform among residents — exactly the paper's eject step); hitting
-        an empty slot occupies it (probability ``1 - F(t)`` — the append
-        step). The two processes are the same Markov chain on reservoir
-        contents, but the virtual form has no sequential dependence, so an
-        entire block reduces to one bulk draw of slot indices in which only
-        each slot's *last* writer is materialized (intermediate occupants
-        are unobservable). Newly occupied virtual slots are compacted onto
-        the storage tail in first-hit order, matching the per-item append
-        order.
+        Every arrival is inserted, so the whole block goes to
+        :meth:`_scatter` with local arrival indices ``t + 1 .. t + b``.
+        ``glob`` holds the block's global arrival indices (default: the
+        local ones).
+        """
+        b = len(block)
+        local = self.t + 1 + np.arange(b, dtype=np.int64)
+        self._scatter(
+            block if isinstance(block, np.ndarray) else _object_array(block),
+            local,
+            local if glob is None else glob,
+        )
+        self.t += b
+        self.offers += b
+        return b
 
-        ``last[victims] = arange(b)`` relies on numpy fancy-index scatter
+    def _scatter(
+        self, pay: np.ndarray, local: np.ndarray, glob: np.ndarray
+    ) -> None:
+        """Insert the block's admitted arrivals, in stream order.
+
+        ``pay`` holds the inserted payloads and ``local``/``glob`` their
+        local and global arrival indices; the caller advances ``t`` and
+        ``offers`` over the whole block, admitted or not.
+
+        Uses the *virtual-slot* formulation of the policy: each inserted
+        arrival is thrown into one of ``n`` virtual slots uniformly at
+        random. Hitting an occupied slot evicts its resident (probability
+        ``F(t)``, victim uniform among residents — exactly the paper's
+        eject step); hitting an empty slot occupies it (probability
+        ``1 - F(t)`` — the append step). The two processes are the same
+        Markov chain on reservoir contents, but the virtual form has no
+        sequential dependence, so an entire block reduces to one bulk
+        draw of slot indices in which only each slot's *last* writer is
+        materialized (intermediate occupants are unobservable). Newly
+        occupied virtual slots are compacted onto the storage tail in
+        first-hit order, matching the per-item append order.
+
+        ``last[victims] = arange(k)`` relies on numpy fancy-index scatter
         semantics (duplicate indices keep the last write) to find each
-        slot's final writer in O(b); the reversed scatter finds each new
-        slot's *first* hit, which fixes the append order. ``glob`` holds
-        the block's global arrival indices (default: the local ones).
+        slot's final writer in O(k); the reversed scatter finds each new
+        slot's *first* hit, which fixes the append order.
         """
         n = self.capacity
-        b = len(block)
-        t0 = self.t
+        k = len(pay)
         s0 = self._size
-        pay = block if isinstance(block, np.ndarray) else _object_array(block)
-        if glob is None:
-            glob = t0 + 1 + np.arange(b, dtype=np.int64)
         if s0 == 0:
             self._allocate()
-        victims = self.rng.integers(0, n, size=b)
+        victims = self.rng.integers(0, n, size=k)
         last = np.full(n, -1, dtype=np.int64)
-        last[victims] = np.arange(b)
+        last[victims] = np.arange(k)
+        touched = np.nonzero(last >= 0)[0]
         if s0 == n:
             # Steady state: every touched slot is an in-place replacement.
-            touched = np.nonzero(last >= 0)[0]
-            w = last[touched]
+            slots, rows = touched, last[touched]
             new_count = 0
-            self._pay[touched] = pay[w]
-            self._arr[touched] = t0 + 1 + w
-            self._glob[touched] = glob[w]
         else:
             first = np.full(n, -1, dtype=np.int64)
-            first[victims[::-1]] = np.arange(b - 1, -1, -1)
-            touched = np.nonzero(last >= 0)[0]
+            first[victims[::-1]] = np.arange(k - 1, -1, -1)
             existing = touched[touched < s0]
-            w = last[existing]
-            self._pay[existing] = pay[w]
-            self._arr[existing] = t0 + 1 + w
-            self._glob[existing] = glob[w]
             new_slots = touched[touched >= s0]
             order = np.argsort(first[new_slots], kind="stable")
-            wn = last[new_slots[order]]
-            new_count = len(wn)
-            dest = np.arange(s0, s0 + new_count)
-            self._pay[dest] = pay[wn]
-            self._arr[dest] = t0 + 1 + wn
-            self._glob[dest] = glob[wn]
+            new_count = len(new_slots)
+            slots = np.concatenate([existing, np.arange(s0, s0 + new_count)])
+            rows = np.concatenate([last[existing], last[new_slots[order]]])
             self._size = s0 + new_count
-        self.t = t0 + b
-        self.offers += b
-        self.insertions += b
-        self.ejections += b - new_count
-        return b
+        self._pay[slots] = pay[rows]
+        self._arr[slots] = local[rows]
+        self._glob[slots] = glob[rows]
+        self.insertions += k
+        self.ejections += k - new_count
 
     # ------------------------------------------------------------------ #
     # Inspection (array-backed overrides)
@@ -271,31 +284,34 @@ class ExponentialReservoir(ReservoirSampler):
         return cls(capacity=state["capacity"])
 
     def inclusion_probability(self, r: int, t: Optional[int] = None) -> float:
-        """Theorem 2.2: ``p(r, t) ≈ exp(-(t - r)/n) = exp(-lambda (t - r))``."""
+        """Theorem 2.2 / 3.1: ``p(r, t) ≈ p_in * exp(-lambda (t - r))``."""
         t = self.t if t is None else int(t)
         if not 1 <= r <= t:
             raise ValueError(f"require 1 <= r <= t, got r={r}, t={t}")
-        return math.exp(-self.lam * (t - r))
+        return self.p_in * math.exp(-self.lam * (t - r))
 
     def inclusion_probabilities(
         self, r: np.ndarray, t: Optional[int] = None
     ) -> np.ndarray:
-        """Vectorized Theorem 2.2 model."""
+        """Vectorized Theorem 2.2 / 3.1 model."""
         t = self.t if t is None else int(t)
         r = np.asarray(r, dtype=np.float64)
         if np.any(r < 1) or np.any(r > t):
             raise ValueError("require 1 <= r <= t")
-        return np.exp(-self.lam * (t - r))
+        return self.p_in * np.exp(-self.lam * (t - r))
 
     def survival_probability(self, age: int) -> float:
-        """Exact per-policy survival ``(1 - 1/n)^age`` (pre-approximation).
+        """Exact per-policy survival ``(1 - p_in/n)^age`` (pre-approximation).
 
-        Theorem 2.2 approximates this by ``exp(-age/n)``; tests compare the
+        A resident survives one arrival if no insertion happens
+        (``1 - p_in``) or an insertion happens but it is not the victim
+        (``p_in (1 - 1/n)``); the sum is ``1 - p_in/n``. Theorems 2.2 and
+        3.1 approximate this by ``exp(-lambda age)``; tests compare the
         two to quantify the approximation error.
         """
         if age < 0:
             raise ValueError(f"age must be >= 0, got {age}")
-        return (1.0 - 1.0 / self.capacity) ** age
+        return (1.0 - self.p_in / self.capacity) ** age
 
 
 # Sharded checkpoints written before the shard kernel moved into

@@ -180,8 +180,12 @@ def fold_exponential_reservoirs(
     )
     out.t = merged_t
     out.offers = merged_t
-    for age, payload in sorted(survivors, key=lambda pair: -pair[0]):
-        out._payloads.append(payload)
-        out._arrivals.append(max(1, merged_t - age))
-        out.insertions += 1
+    survivors.sort(key=lambda pair: -pair[0])
+    out._restore_storage(
+        {
+            "payloads": [payload for _, payload in survivors],
+            "arrivals": [max(1, merged_t - age) for age, _ in survivors],
+        }
+    )
+    out.insertions = len(survivors)
     return out

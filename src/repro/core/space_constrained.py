@@ -11,6 +11,11 @@ Algorithm 3.1 restores the target rate by admitting arrivals only with an
    uniformly random resident is ejected (replacement) or the reservoir
    grows by one.
 
+Step 2 is Algorithm 2.1's step, so Algorithm 3.1 is Algorithm 2.1 run on
+the stream thinned by the ``p_in`` coin; the class below is
+:class:`~repro.core.biased.ExponentialReservoir` plus that gate, per item
+and per block.
+
 Theorem 3.1: the inclusion probability is
 ``p(r, t) ≈ p_in * exp(-lambda (t - r))`` — the same exponential *shape*,
 scaled down by ``p_in`` because space forbids holding every recent point.
@@ -23,20 +28,27 @@ sampling (:mod:`repro.core.variable`).
 
 from __future__ import annotations
 
-import math
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from repro.core.bias import ExponentialBias
-from repro.core.reservoir import ReservoirSampler
+from repro.core.biased import ExponentialReservoir, _object_array
 from repro.utils.rng import RngLike, require_probability
 
 __all__ = ["SpaceConstrainedReservoir"]
 
 
-class SpaceConstrainedReservoir(ReservoirSampler):
+class SpaceConstrainedReservoir(ExponentialReservoir):
     """Biased reservoir sampler implementing Algorithm 3.1 (fixed ``p_in``).
+
+    Algorithm 3.1 is Algorithm 2.1 run on a thinned stream: each arrival
+    passes an insertion coin with probability ``p_in``, and the admitted
+    ones are inserted and ejected exactly as
+    :class:`~repro.core.biased.ExponentialReservoir` does. The class
+    therefore reuses its array store, block kernel, global arrival axis
+    (:meth:`ingest`) and ``p_in``-scaled inclusion model; only the gate
+    is its own.
 
     Parameters
     ----------
@@ -54,10 +66,9 @@ class SpaceConstrainedReservoir(ReservoirSampler):
 
     Notes
     -----
-    ``p_in = 1`` recovers Algorithm 2.1 exactly; tests rely on this.
+    ``p_in = 1`` draws no gate coins, so it recovers Algorithm 2.1
+    exactly, random stream included; tests rely on this.
     """
-
-    exponential_design = True
 
     def __init__(
         self,
@@ -72,7 +83,7 @@ class SpaceConstrainedReservoir(ReservoirSampler):
                     "provide capacity, or both lam and p_in to derive it"
                 )
             capacity = max(1, round(p_in / lam))
-        super().__init__(capacity, rng)
+        super().__init__(capacity=capacity, rng=rng)
         if p_in is None:
             if lam is None:
                 raise ValueError("provide lam or p_in")
@@ -87,55 +98,45 @@ class SpaceConstrainedReservoir(ReservoirSampler):
         self.p_in = require_probability(p_in, "p_in")
         if self.p_in == 0.0:
             raise ValueError("p_in must be positive")
-        self.lam = self.p_in / self.capacity
+        self.lam = self.requested_lam = self.p_in / self.capacity
         self.bias = ExponentialBias(self.lam)
 
     def offer(self, payload: Any) -> bool:
         """Algorithm 3.1 step: ``p_in``-gated insert, ``F(t)``-biased eject."""
-        fill = self.fill_fraction  # F(t) before this arrival
-        self.t += 1
-        self.offers += 1
         # Skip the insertion coin when p_in == 1 so the policy consumes the
         # same random sequence as Algorithm 2.1 (exact degeneracy).
         if self.p_in < 1.0 and self.rng.random() >= self.p_in:
+            self.t += 1
+            self.offers += 1
             return False
-        if self.is_full or self.rng.random() < fill:
-            self._replace_random(payload)
-        else:
-            self._append(payload)
-        return True
+        return super().offer(payload)
+
+    def _offer_block(
+        self, block: Sequence[Any], glob: Optional[np.ndarray] = None
+    ) -> int:
+        """Algorithm 3.1 over a block (same distribution as :meth:`offer`).
+
+        One bulk draw of gate coins picks the admitted arrivals; they go
+        through the Algorithm 2.1 kernel with their true local and global
+        arrival indices. Returns the admitted count.
+        """
+        if self.p_in == 1.0:
+            return super()._offer_block(block, glob)
+        b = len(block)
+        rows = np.nonzero(self.rng.random(b) < self.p_in)[0]
+        local = self.t + 1 + rows
+        pay = block if isinstance(block, np.ndarray) else _object_array(block)
+        self._scatter(pay[rows], local, local if glob is None else glob[rows])
+        self.t += b
+        self.offers += b
+        return len(rows)
 
     def _extra_state(self) -> dict:
         return {"p_in": self.p_in}
 
+    def _restore_extra(self, state: dict) -> None:
+        """``p_in`` is a constructor parameter; nothing else to restore."""
+
     @classmethod
     def _construct_from_state(cls, state: dict) -> "SpaceConstrainedReservoir":
         return cls(capacity=state["capacity"], p_in=state["p_in"])
-
-    def inclusion_probability(self, r: int, t: Optional[int] = None) -> float:
-        """Theorem 3.1: ``p(r, t) ≈ p_in * exp(-lambda (t - r))``."""
-        t = self.t if t is None else int(t)
-        if not 1 <= r <= t:
-            raise ValueError(f"require 1 <= r <= t, got r={r}, t={t}")
-        return self.p_in * math.exp(-self.lam * (t - r))
-
-    def inclusion_probabilities(
-        self, r: np.ndarray, t: Optional[int] = None
-    ) -> np.ndarray:
-        """Vectorized Theorem 3.1 model."""
-        t = self.t if t is None else int(t)
-        r = np.asarray(r, dtype=np.float64)
-        if np.any(r < 1) or np.any(r > t):
-            raise ValueError("require 1 <= r <= t")
-        return self.p_in * np.exp(-self.lam * (t - r))
-
-    def survival_probability(self, age: int) -> float:
-        """Exact retention ``(1 - p_in/n)^age`` from the Theorem 3.1 proof.
-
-        A resident survives one arrival if no insertion happens
-        (``1 - p_in``) or an insertion happens but it is not the victim
-        (``p_in (1 - 1/n)``); the sum is ``1 - p_in/n``.
-        """
-        if age < 0:
-            raise ValueError(f"age must be >= 0, got {age}")
-        return (1.0 - self.p_in / self.capacity) ** age

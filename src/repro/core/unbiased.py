@@ -11,7 +11,7 @@ Two implementations of classic uniform reservoir maintenance:
   Vitter's Algorithm X skip optimization: instead of one random draw per
   arrival, it draws the *gap* until the next accepted record, making the
   per-point cost on long streams close to an integer compare. Used in the
-  throughput ablation benchmark.
+  throughput ablation benchmark. Its block path is Algorithm R's.
 """
 
 from __future__ import annotations
@@ -23,18 +23,6 @@ import numpy as np
 from repro.core.reservoir import ReservoirSampler
 from repro.utils.rng import RngLike
 
-
-def _uniform_inclusion(capacity: int, r: np.ndarray, t: int) -> np.ndarray:
-    """Vectorized ``min(1, n/t)`` shared by both unbiased samplers."""
-    r = np.asarray(r, dtype=np.float64)
-    if np.any(r < 1) or np.any(r > t):
-        raise ValueError("require 1 <= r <= t")
-    if t <= 0:
-        # Nothing has been offered yet: only the empty query is valid (any
-        # concrete r would have failed the range check above), and its
-        # answer is the empty vector — not a division by t = 0.
-        return np.zeros(r.shape)
-    return np.full(r.shape, min(1.0, capacity / t))
 
 __all__ = ["UnbiasedReservoir", "SkipUnbiasedReservoir"]
 
@@ -103,10 +91,18 @@ class UnbiasedReservoir(ReservoirSampler):
     ) -> np.ndarray:
         """Vectorized Property 2.1 model."""
         t = self.t if t is None else int(t)
-        return _uniform_inclusion(self.capacity, r, t)
+        r = np.asarray(r, dtype=np.float64)
+        if np.any(r < 1) or np.any(r > t):
+            raise ValueError("require 1 <= r <= t")
+        if t <= 0:
+            # Nothing has been offered yet: only the empty query is valid
+            # (any concrete r would have failed the range check above), and
+            # its answer is the empty vector — not a division by t = 0.
+            return np.zeros(r.shape)
+        return np.full(r.shape, min(1.0, self.capacity / t))
 
 
-class SkipUnbiasedReservoir(ReservoirSampler):
+class SkipUnbiasedReservoir(UnbiasedReservoir):
     """Algorithm R distribution with Algorithm X geometric-skip acceptance.
 
     Once the reservoir is full, the number of stream points to *skip* before
@@ -114,6 +110,12 @@ class SkipUnbiasedReservoir(ReservoirSampler):
     skip distribution, Vitter 1985, Algorithm X), so rejected points cost no
     random draws at all. The resident-replacement choice is unchanged, so
     the resulting sample distribution is identical to Algorithm R.
+
+    Per-item :meth:`offer` is Algorithm X, the Vitter reference. A block
+    (:meth:`offer_many`) drops the pending skip and runs the Algorithm R
+    kernel it inherits. That is exact: Algorithm R acceptances are
+    independent ``Bernoulli(n/t)`` events, and the pending skip is a
+    function of coins the block never uses.
     """
 
     def __init__(self, capacity: int, rng: RngLike = None) -> None:
@@ -166,55 +168,6 @@ class SkipUnbiasedReservoir(ReservoirSampler):
         return False
 
     def _offer_block(self, block: List[Any]) -> int:
-        """Block skip-sampling: jump straight between accepted records.
-
-        Instead of examining every arrival, repeatedly draw the gap to the
-        next acceptance and land on it directly; a gap extending past the
-        block end is carried over in ``self._skip`` so interleaving
-        per-item and batched ingestion stays distribution-exact. Work is
-        O(accepted) ≈ ``n ln((t+B)/t)`` per block, not O(B).
-        """
-        total = len(block)
-        idx = 0
-        while idx < total and len(self._payloads) < self.capacity:
-            self.t += 1
-            self.offers += 1
-            self._append(block[idx])
-            idx += 1
-        stored = idx
-        t0 = self.t  # arrivals fully processed before the sub-block
-        b = total - idx
-        pos = 0  # next unexamined sub-block position (arrival t0 + pos + 1)
-        while pos < b:
-            if self._skip < 0:
-                self._skip = self._draw_skip(t0 + pos + 1)
-            if pos + self._skip < b:
-                pos += self._skip
-                slot = int(self.rng.integers(len(self._payloads)))
-                self._payloads[slot] = block[idx + pos]
-                self._arrivals[slot] = t0 + pos + 1
-                self.insertions += 1
-                self.ejections += 1
-                stored += 1
-                self._skip = -1
-                pos += 1
-            else:
-                self._skip -= b - pos
-                pos = b
-        self.t = t0 + b
-        self.offers += b
-        return stored
-
-    def inclusion_probability(self, r: int, t: Optional[int] = None) -> float:
-        """Identical to Algorithm R: ``min(1, n / t)``."""
-        t = self.t if t is None else int(t)
-        if not 1 <= r <= t:
-            raise ValueError(f"require 1 <= r <= t, got r={r}, t={t}")
-        return min(1.0, self.capacity / t)
-
-    def inclusion_probabilities(
-        self, r: np.ndarray, t: Optional[int] = None
-    ) -> np.ndarray:
-        """Vectorized Property 2.1 model."""
-        t = self.t if t is None else int(t)
-        return _uniform_inclusion(self.capacity, r, t)
+        """Algorithm R over the block; a pending skip is dropped first."""
+        self._skip = -1
+        return super()._offer_block(block)

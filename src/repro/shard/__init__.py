@@ -10,10 +10,14 @@ Public surface:
   thinning.
 * :class:`RoundRobinPartitioner` / :class:`HashByKeyPartitioner` — stream
   routing policies (:mod:`repro.shard.partition`).
-* :class:`ShardWorker` — a local sampler (a plain
-  :class:`~repro.core.biased.ExponentialReservoir` or
-  :class:`~repro.core.space_constrained.SpaceConstrainedReservoir`) and
-  its global-axis bookkeeping (:mod:`repro.shard.worker`).
+* :class:`ShardWorker` — a local sampler (an
+  :class:`~repro.core.biased.ExponentialReservoir`, or its Algorithm 3.1
+  subclass :class:`~repro.core.space_constrained.SpaceConstrainedReservoir`)
+  fed through the one block kernel both share, which keeps each
+  resident's global arrival index (:mod:`repro.shard.worker`).
+
+The workers run in the caller's process; there is no multi-process
+backend.
 """
 
 from repro.shard.coordinator import ShardedReservoir

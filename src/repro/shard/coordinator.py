@@ -27,20 +27,16 @@ genuine thinning path.
 Backends
 --------
 
-``backend="inline"`` holds the ``W`` workers in-process (the default; on
-a single core the workers run the same block kernel as one serial
-reservoir, so the facade adds routing, not speed).
-``backend="process"`` runs each worker in its own OS process, shipping
-blocks over pipes and worker state back as
-:meth:`~repro.core.reservoir.ReservoirSampler.state_dict` snapshots —
-state-identical to the inline backend under the same seed, because worker
-generators are spawned from the same seed sequence and blocks arrive in
-the same order.
+The ``W`` workers live in the coordinator's process and run the same
+block kernel as one serial reservoir, so the facade adds routing, not
+speed. There is one backend, ``"inline"``; the constructor keeps the
+``backend`` keyword and rejects any other value. A process per worker
+does not pay: shipping a block over a pipe costs more than the scatter
+kernel it feeds.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
 import numpy as np
@@ -59,6 +55,11 @@ from repro.shard.worker import ShardWorker
 from repro.utils.rng import RngLike, as_generator, require_probability
 
 __all__ = ["ShardedReservoir", "_GlobalAxisView"]
+
+#: Per-worker buffer for the per-item :meth:`ShardedReservoir.offer`
+#: path: a worker's buffered points are dispatched as one block when its
+#: buffer holds this many (or on ``flush`` / any state read).
+FLUSH_SIZE = 8192
 
 
 class _GlobalAxisView:
@@ -90,24 +91,6 @@ class _GlobalAxisView:
         return list(self._entries)
 
 
-def _worker_loop(conn, initial_state: Dict[str, Any]) -> None:
-    """Process-backend worker: apply ingest commands, reply with state."""
-    worker = ShardWorker.from_state_dict(initial_state)
-    while True:
-        msg = conn.recv()
-        cmd = msg[0]
-        if cmd == "ingest":
-            payloads, globs = msg[1], msg[2]
-            worker.ingest(
-                _object_array(payloads), np.asarray(globs, dtype=np.int64)
-            )
-        elif cmd == "state":
-            conn.send(worker.state_dict())
-        elif cmd == "close":
-            conn.close()
-            return
-
-
 class ShardedReservoir:
     """Sharded exponentially biased reservoir over a partitioned stream.
 
@@ -133,15 +116,13 @@ class ShardedReservoir:
         Seed or generator. Worker ``i`` draws from spawn-child ``i`` of
         this seed and the coordinator's fold draws from child ``W``
         (:func:`~repro.utils.rng.spawn_generators` semantics), so results
-        are reproducible and backend-independent.
+        are reproducible.
     backend:
-        ``"inline"`` (default) or ``"process"`` (one OS process per
-        worker).
-    flush_size:
-        Per-worker buffer for the per-item :meth:`offer` path; buffered
-        points are dispatched as one ``offer_many`` block when the buffer
-        fills (or on :meth:`flush`/any state read). :meth:`offer_many`
-        blocks are dispatched immediately.
+        ``"inline"``, the only backend (see the module docstring).
+
+    The per-item :meth:`offer` path buffers points per worker and
+    dispatches them in blocks of :data:`FLUSH_SIZE`; :meth:`offer_many`
+    blocks are dispatched immediately.
     """
 
     def __init__(
@@ -153,7 +134,6 @@ class ShardedReservoir:
         partitioner: Optional[Partitioner] = None,
         rng: RngLike = None,
         backend: str = "inline",
-        flush_size: int = 8192,
     ) -> None:
         capacity = int(capacity)
         workers = int(workers)
@@ -165,16 +145,14 @@ class ShardedReservoir:
                 f"workers ({workers}) so every shard holds capacity/W "
                 "residents"
             )
-        if backend not in ("inline", "process"):
-            raise ValueError(f"unknown backend {backend!r}")
-        if flush_size < 1:
-            raise ValueError(f"flush_size must be >= 1, got {flush_size}")
+        if backend != "inline":
+            raise ValueError(
+                f"unknown backend {backend!r}; the only backend is 'inline'"
+            )
         self.capacity = capacity
         self.workers = workers
         self.shard_capacity = capacity // workers
         self.family = family
-        self.backend = backend
-        self.flush_size = int(flush_size)
         self.t = 0
         self.requested_lam = None if lam is None else float(lam)
 
@@ -191,6 +169,7 @@ class ShardedReservoir:
         if family == "exponential":
             # Observation 2.1: the union's realized global rate is 1/n.
             self.p_in = 1.0
+            self._sampler_cls = ExponentialReservoir
         elif family == "space_constrained":
             if lam is None:
                 raise ValueError(
@@ -204,6 +183,7 @@ class ShardedReservoir:
                     f"1/lambda = {1.0 / lam:.6g}; use family='exponential'"
                 )
             self.p_in = require_probability(min(1.0, p_in), "p_in")
+            self._sampler_cls = SpaceConstrainedReservoir
         else:
             raise ValueError(f"unknown shard family {family!r}")
         #: Realized global bias rate of the union sample.
@@ -213,16 +193,15 @@ class ShardedReservoir:
         seed_seq = self._seed_sequence(rng)
         children = seed_seq.spawn(workers + 1)
         self._fold_rng = np.random.default_rng(children[workers])
-        local_workers = []
-        for i in range(workers):
-            child = np.random.default_rng(children[i])
-            if family == "exponential":
-                sampler = ExponentialReservoir(capacity=m, rng=child)
-            else:
-                sampler = SpaceConstrainedReservoir(
-                    capacity=m, p_in=self.p_in, rng=child
+        gate = {} if family == "exponential" else {"p_in": self.p_in}
+        self._workers = [
+            ShardWorker(
+                self._sampler_cls(
+                    capacity=m, rng=np.random.default_rng(children[i]), **gate
                 )
-            local_workers.append(ShardWorker(sampler, family))
+            )
+            for i in range(workers)
+        ]
 
         #: Called as ``listener(w, payloads, globs)`` before worker ``w``
         #: ingests a block (the durability engine journals it here).
@@ -234,25 +213,6 @@ class ShardedReservoir:
         # Cached union-resident columnar view, keyed by stream position
         # (see `resident_columns`).
         self._columns_cache: Optional[tuple] = None
-        if backend == "inline":
-            self._workers = local_workers
-            self._conns = None
-            self._procs = None
-        else:
-            self._workers = None
-            self._conns = []
-            self._procs = []
-            for w in local_workers:
-                parent, child_conn = multiprocessing.Pipe()
-                proc = multiprocessing.Process(
-                    target=_worker_loop,
-                    args=(child_conn, w.state_dict()),
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                self._conns.append(parent)
-                self._procs.append(proc)
 
     @staticmethod
     def _seed_sequence(rng: RngLike) -> np.random.SeedSequence:
@@ -271,12 +231,12 @@ class ShardedReservoir:
     # ------------------------------------------------------------------ #
 
     def offer(self, payload: Any) -> bool:
-        """Route one arrival to its shard (buffered; see ``flush_size``)."""
+        """Route one arrival to its shard (buffered; see :data:`FLUSH_SIZE`)."""
         self.t += 1
         w = self.partitioner.assign(self.t, payload)
         self._buf_payloads[w].append(payload)
         self._buf_globals[w].append(self.t)
-        if len(self._buf_payloads[w]) >= self.flush_size:
+        if len(self._buf_payloads[w]) >= FLUSH_SIZE:
             self._flush_worker(w)
         return True
 
@@ -330,12 +290,7 @@ class ShardedReservoir:
     ) -> None:
         if self.dispatch_listener is not None:
             self.dispatch_listener(w, payloads, globs)
-        if self._workers is not None:
-            self._workers[w].ingest(payloads, globs)
-        else:
-            self._conns[w].send(
-                ("ingest", payloads.tolist(), globs.tolist())
-            )
+        self._workers[w].ingest(payloads, globs)
 
     # ------------------------------------------------------------------ #
     # State access
@@ -344,25 +299,14 @@ class ShardedReservoir:
     def worker_states(self) -> List[Dict[str, Any]]:
         """Current :class:`ShardWorker` snapshots (flushes buffers)."""
         self.flush()
-        if self._workers is not None:
-            return [w.state_dict() for w in self._workers]
-        states = []
-        for conn in self._conns:
-            conn.send(("state",))
-            states.append(conn.recv())  # FIFO: follows queued ingests
-        return states
-
-    def _current_workers(self) -> List[ShardWorker]:
-        self.flush()
-        if self._workers is not None:
-            return self._workers
-        return [ShardWorker.from_state_dict(s) for s in self.worker_states()]
+        return [w.state_dict() for w in self._workers]
 
     def entries(self) -> List[SampleEntry]:
         """Residents as ``SampleEntry(global_arrival, payload)``,
         worker-major order."""
+        self.flush()
         out: List[SampleEntry] = []
-        for worker in self._current_workers():
+        for worker in self._workers:
             out.extend(
                 SampleEntry(g, p) for g, p in worker.entries_global()
             )
@@ -474,8 +418,9 @@ class ShardedReservoir:
         Theorem 3.3 thinning. The fold does not consume the workers; the
         facade remains live.
         """
+        self.flush()
         views = []
-        for worker in self._current_workers():
+        for worker in self._workers:
             entries = [
                 SampleEntry(g, p) for g, p in worker.entries_global()
             ]
@@ -520,7 +465,6 @@ class ShardedReservoir:
             "workers": self.workers,
             "family": self.family,
             "requested_lam": self.requested_lam,
-            "flush_size": self.flush_size,
             "partitioner": part,
             "t": self.t,
             "fold_rng_state": self._fold_rng.bit_generator.state,
@@ -532,9 +476,15 @@ class ShardedReservoir:
         cls,
         state: Dict[str, Any],
         partitioner: Optional[Partitioner] = None,
-        backend: str = "inline",
     ) -> "ShardedReservoir":
-        """Rebuild a facade from :meth:`state_dict` (default inline)."""
+        """Rebuild a facade from :meth:`state_dict`.
+
+        Raises ``ValueError`` naming the field when the snapshot could not
+        have come from a live facade: the worker count, a worker's
+        capacity, or a worker's sampler family disagree with the facade
+        configuration. Snapshots that carry the retired ``flush_size``
+        field restore as usual.
+        """
         if state.get("class") != "ShardedReservoir":
             raise ValueError("not a ShardedReservoir snapshot")
         version = state.get("version", 1)
@@ -562,44 +512,35 @@ class ShardedReservoir:
             family=state["family"],
             partitioner=partitioner,
             rng=0,  # placeholder; every generator state is overwritten below
-            backend="inline",
-            flush_size=state["flush_size"],
         )
+        worker_states = state["worker_states"]
+        if len(worker_states) != workers:
+            raise ValueError(
+                f"snapshot field 'worker_states' has {len(worker_states)} "
+                f"entries, 'workers' is {workers}"
+            )
+        restored = [ShardWorker.from_state_dict(s) for s in worker_states]
+        for i, worker in enumerate(restored):
+            sampler = worker.sampler
+            if sampler.capacity != obj.shard_capacity:
+                raise ValueError(
+                    f"snapshot field 'worker_states' entry {i} has capacity "
+                    f"{sampler.capacity}, expected capacity // workers = "
+                    f"{obj.shard_capacity}"
+                )
+            if type(sampler) is not obj._sampler_cls:
+                raise ValueError(
+                    f"snapshot field 'worker_states' entry {i} holds a "
+                    f"{type(sampler).__name__}, but 'family' "
+                    f"{obj.family!r} runs {obj._sampler_cls.__name__}"
+                )
         obj.t = int(state["t"])
         obj._fold_rng.bit_generator.state = state["fold_rng_state"]
-        obj._workers = [
-            ShardWorker.from_state_dict(s) for s in state["worker_states"]
-        ]
-        if backend == "process":
-            raise NotImplementedError(
-                "restore into the process backend is not supported; "
-                "restore inline and keep offering"
-            )
+        obj._workers = restored
         return obj
-
-    def close(self) -> None:
-        """Shut down process-backend workers (no-op for inline)."""
-        if self._conns is not None:
-            for conn in self._conns:
-                try:
-                    conn.send(("close",))
-                    conn.close()
-                except (BrokenPipeError, OSError):
-                    pass
-            for proc in self._procs:
-                proc.join(timeout=5)
-            self._conns = None
-            self._procs = None
-
-    def __enter__(self) -> "ShardedReservoir":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def __repr__(self) -> str:
         return (
             f"ShardedReservoir(capacity={self.capacity}, "
-            f"workers={self.workers}, family={self.family!r}, "
-            f"backend={self.backend!r}, t={self.t})"
+            f"workers={self.workers}, family={self.family!r}, t={self.t})"
         )

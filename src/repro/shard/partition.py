@@ -2,8 +2,8 @@
 
 A partitioner routes each stream arrival (identified by its 1-based global
 arrival index plus the payload itself) to one of ``W`` workers. Routing
-must be a pure function of ``(index, payload)`` so that the inline and
-process backends — and any two runs with the same seed — shard the stream
+must be a pure function of ``(index, payload)`` so that any two runs with
+the same seed, and a run restored from a snapshot, shard the stream
 identically.
 
 Two policies:

@@ -13,7 +13,8 @@ closed-form model that :mod:`repro.core.theory` and the sampler's own
   ``q = 1 - 1/n``; the per-resident hazard is exactly ``1/n`` at every
   fill level because the eject coin ``F(t)`` and the uniform victim
   choice cancel (``F/size = 1/n``).
-* Algorithm 3.1 — Theorem 3.1 with exact survival ``1 - p_in/n``; also
+* Algorithm 3.1 — Theorem 3.1 with exact survival ``1 - p_in/n``, per
+  item and through the block path; also
   the Theorem 3.2 fill-trajectory expectation (an exact linear
   recurrence, so the replicate-mean z-test is honest).
 * Variable reservoir sampling — Theorem 3.3: hazard exactly ``lambda``
@@ -181,11 +182,19 @@ def _merged_ages(lam, capacity, p_in, t):
     return replicate
 
 
-def _sharded_arrivals(capacity, workers, t):
+def _sharded_arrivals(capacity, workers, t, lam=None):
+    """Fold arrivals of a sharded run; ``lam`` selects Algorithm 3.1."""
+
     def replicate(rng: np.random.Generator) -> np.ndarray:
         from repro.shard import ShardedReservoir
 
-        fac = ShardedReservoir(capacity=capacity, workers=workers, rng=rng)
+        fac = ShardedReservoir(
+            capacity=capacity,
+            workers=workers,
+            lam=lam,
+            family="exponential" if lam is None else "space_constrained",
+            rng=rng,
+        )
         for start in range(0, t, _BATCH):
             fac.offer_many(range(start, min(start + _BATCH, t)))
         # End-to-end: collapse the shards through the Theorem 3.3 fold
@@ -195,15 +204,15 @@ def _sharded_arrivals(capacity, workers, t):
     return replicate
 
 
-def _sharded_inclusion_model(capacity, workers, t):
-    """Exact round-robin inclusion: ``(1 - 1/m)^floor((t - r)/W)``."""
+def _sharded_inclusion_model(capacity, workers, t, p_in=1.0):
+    """Exact round-robin inclusion: ``p_in (1 - p_in/m)^floor((t - r)/W)``."""
     m = capacity // workers
 
     def probability(r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=np.int64)
-        p = (1.0 - 1.0 / m) ** ((t - r) // workers)
-        # The newest arrival on each shard is deterministically resident
-        # (p = 1 exactly); binom_interval needs p in (0, 1), and the
+        p = p_in * (1.0 - p_in / m) ** ((t - r) // workers)
+        # At p_in = 1 the newest arrival on each shard is
+        # deterministically resident (p = 1 exactly); binom_interval needs p in (0, 1), and the
         # clamped band degenerates to {replicates}, which the
         # deterministic count always hits.
         return np.minimum(p, 1.0 - 1e-12)
@@ -419,6 +428,29 @@ def _build_specs() -> Dict[str, ConformanceSpec]:
             ),
         )
     )
+    specs.append(
+        ConformanceSpec(
+            name="space-constrained-age-batched",
+            family="space_constrained",
+            theory="Theorem 3.1",
+            description=(
+                "block-path resident ages (bulk gate coins, then the "
+                "Algorithm 2.1 kernel) follow the truncated-geometric law "
+                f"q=1-p_in/n (n={n_s}, p_in={p_in_s}, t={t_s})"
+            ),
+            replicate=_ages(
+                lambda rng: SpaceConstrainedReservoir(
+                    capacity=n_s, p_in=p_in_s, rng=rng
+                ),
+                t_s,
+                True,
+            ),
+            check=FrequencyCheck(
+                _geometric_age_pmf(1.0 - p_in_s / n_s, t_s), alpha=1e-4
+            ),
+            ingest="batched",
+        )
+    )
 
     n_f, p_in_f, t_f = 40, 0.5, 200
     specs.append(
@@ -582,6 +614,32 @@ def _build_specs() -> Dict[str, ConformanceSpec]:
             check=InclusionBandCheck(
                 positions=t_sh,
                 probability=_sharded_inclusion_model(n_sh, w_sh, t_sh),
+                alpha=1e-4,
+            ),
+            ingest="batched",
+        )
+    )
+
+    p_in_sh = 0.5
+    specs.append(
+        ConformanceSpec(
+            name="sharded_space_constrained_inclusion",
+            family="sharded",
+            theory="Theorem 3.1 over round-robin shards + Theorem 3.3 fold",
+            description=(
+                "end-to-end sharded Algorithm 3.1 sample (gated shards, "
+                "folded to one reservoir) keeps every arrival inside the "
+                "exact inclusion band p_in(1-p_in/m)^floor((t-r)/W) "
+                f"(n={n_sh}, W={w_sh}, m={m_sh}, p_in={p_in_sh}, t={t_sh})"
+            ),
+            replicate=_sharded_arrivals(
+                n_sh, w_sh, t_sh, lam=p_in_sh / n_sh
+            ),
+            check=InclusionBandCheck(
+                positions=t_sh,
+                probability=_sharded_inclusion_model(
+                    n_sh, w_sh, t_sh, p_in_sh
+                ),
                 alpha=1e-4,
             ),
             ingest="batched",

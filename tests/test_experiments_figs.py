@@ -91,7 +91,15 @@ class TestHorizonSweeps:
             length=20_000, horizons=(500,), seeds=(7,)
         )
         row = res.rows[0]
-        assert row["biased_support"] > 2 * row["unbiased_support"]
+        # Theorem 3.1 (n=1000, p_in=0.1) puts the expected biased support
+        # at sum_{a<500} p_in (1 - p_in/n)^a ~ 48.8; Property 2.1 puts the
+        # unbiased one at n h / t = 25. Their ratio is 1.95, so a factor-2
+        # bar fails for about half of all seeds; check the claim itself
+        # and the biased count against its model instead.
+        ages = np.arange(500)
+        expected = float(np.sum(0.1 * (1.0 - 1e-4) ** ages))
+        assert row["biased_support"] > row["unbiased_support"]
+        assert abs(row["biased_support"] - expected) < 4 * math.sqrt(expected)
 
 
 class TestFig6:

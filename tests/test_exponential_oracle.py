@@ -7,6 +7,7 @@ single bulk victim vector per block as
 :meth:`ExponentialReservoir.offer_many`, so the scatter kernel must
 reproduce it exactly: residents in storage order, arrivals, counters and
 RNG state, through prefill and steady state, for every block size.
+Algorithm 3.1 at ``p_in = 1`` must be byte-identical to it on every path.
 
 This suite asserts exact RNG-path equivalence, so CI runs it with
 ``-p no:randomly``.
@@ -15,7 +16,7 @@ This suite asserts exact RNG-path equivalence, so CI runs it with
 import numpy as np
 import pytest
 
-from repro.core import ExponentialReservoir
+from repro.core import ExponentialReservoir, SpaceConstrainedReservoir
 from repro.streams import StreamPoint
 
 CAPACITY = 40
@@ -119,3 +120,39 @@ def test_ingest_matches_oracle_and_keeps_global_indices():
         3 * (a - 1) + 2 for a in oracle.arrivals
     ]
     assert sampler.rng.bit_generator.state == oracle.rng.bit_generator.state
+
+
+def _state_bytes(sampler):
+    """Everything but the class name, as comparable plain data."""
+    state = sampler.state_dict()
+    for field in ("class", "module", "requested_lam", "p_in"):
+        state.pop(field, None)
+    return state
+
+
+@pytest.mark.parametrize("path", ["offer", "offer_many", "ingest"])
+def test_space_constrained_at_p_in_one_is_algorithm_2_1(path):
+    """Algorithm 3.1 with ``p_in = 1`` draws no gate coins: every path
+    leaves it byte-identical to :class:`ExponentialReservoir`."""
+    stream = _payloads("tuple")
+    plain = ExponentialReservoir(capacity=CAPACITY, rng=23)
+    gated = SpaceConstrainedReservoir(capacity=CAPACITY, p_in=1.0, rng=23)
+    for lo in range(0, STREAM, 37):
+        chunk = stream[lo : lo + 37]
+        for sampler in (plain, gated):
+            if path == "offer":
+                assert sampler.extend(chunk) == len(chunk)
+            elif path == "offer_many":
+                assert sampler.offer_many(chunk) == len(chunk)
+            else:
+                arr = np.empty(len(chunk), dtype=object)
+                arr[:] = chunk
+                globs = 2 * np.arange(lo, lo + len(chunk)) + 1
+                assert sampler.ingest(arr, globs) == len(chunk)
+        assert _state_bytes(gated) == _state_bytes(plain)
+        assert gated.last_ops == plain.last_ops
+    r = np.arange(1, STREAM + 1)
+    assert np.array_equal(
+        gated.inclusion_probabilities(r), plain.inclusion_probabilities(r)
+    )
+    assert gated.survival_probability(9) == plain.survival_probability(9)

@@ -6,8 +6,9 @@ Two tiers of guarantee, each tested here:
   sequence as an ``offer`` loop, so per-item and batched runs at one seed
   must be byte-identical.
 * Samplers with vectorized fast paths (``ExponentialReservoir``,
-  ``UnbiasedReservoir``, ``SkipUnbiasedReservoir``,
-  ``TimestampedExponentialReservoir``) pre-draw their randomness in bulk,
+  ``SpaceConstrainedReservoir``, ``UnbiasedReservoir``,
+  ``SkipUnbiasedReservoir``, ``TimestampedExponentialReservoir``)
+  pre-draw their randomness in bulk,
   so only the *distribution* is guaranteed: counters and invariants match
   exactly, empirical inclusion frequencies match within statistical
   tolerance (seeded, sized to ~4-5 sigma so they pass deterministically).
@@ -37,9 +38,6 @@ from repro.streams.point import StreamPoint
 # ---------------------------------------------------------------------- #
 
 GENERIC_FALLBACK = {
-    "space_constrained": lambda seed: SpaceConstrainedReservoir(
-        lam=1e-2, capacity=50, rng=seed
-    ),
     "variable": lambda seed: VariableReservoir(
         lam=1e-2, capacity=50, rng=seed
     ),
@@ -55,6 +53,9 @@ GENERIC_FALLBACK = {
 
 FAST_PATH = {
     "exponential": lambda seed: ExponentialReservoir(capacity=25, rng=seed),
+    "space_constrained": lambda seed: SpaceConstrainedReservoir(
+        lam=1e-2, capacity=50, rng=seed
+    ),
     "unbiased": lambda seed: UnbiasedReservoir(25, rng=seed),
     "skip_unbiased": lambda seed: SkipUnbiasedReservoir(25, rng=seed),
     "timestamped": lambda seed: TimestampedExponentialReservoir(

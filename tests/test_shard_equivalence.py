@@ -10,8 +10,8 @@ The load-bearing guarantees:
   facade's own capacity is a pure union of the shard samples.
 * Global arrival bookkeeping survives partitioning: every resident's
   global index identifies the original stream position.
-* The process backend reaches exactly the inline backend's state, and a
-  mid-stream facade snapshot restores into an equivalent engine.
+* A mid-stream facade snapshot restores into an equivalent engine, and a
+  snapshot no live facade could have written is rejected by field name.
 
 Equivalence runs use matching ``offer_many`` block boundaries on both
 sides: the virtual-slot kernel re-canonicalizes slot order per block
@@ -64,7 +64,7 @@ class TestSingleWorkerEquivalence:
         assert fac.payloads() == serial.payloads()
         assert list(fac.arrival_indices()) == list(serial.arrival_indices())
         assert fac.t == serial.t
-        shard = fac._current_workers()[0].sampler
+        shard = fac._workers[0].sampler
         assert shard.rng.bit_generator.state == serial.rng.bit_generator.state
         assert (shard.offers, shard.insertions, shard.ejections) == (
             serial.offers, serial.insertions, serial.ejections
@@ -105,9 +105,7 @@ class TestShardedFacade:
     def test_per_item_offer_matches_offer_many_after_flush(self):
         """Buffered singles drain through the same kernel path."""
         points = _stream(500)
-        singles = ShardedReservoir(
-            capacity=48, workers=4, rng=13, flush_size=10_000
-        )
+        singles = ShardedReservoir(capacity=48, workers=4, rng=13)
         for p in points:
             singles.offer(p)
         singles.flush()
@@ -121,7 +119,7 @@ class TestShardedFacade:
             capacity=48, workers=4, rng=8, partitioner=part
         )
         fac.offer_many(_stream(400))
-        for w, worker in enumerate(fac._current_workers()):
+        for w, worker in enumerate(fac._workers):
             for payload in worker.sampler.payloads():
                 assert part.assign(0, payload) == w
 
@@ -197,16 +195,11 @@ class TestFold:
 
 
 class TestBackendsAndSnapshots:
-    def test_process_backend_state_identical_to_inline(self):
-        points = _stream(500)
-        inline = ShardedReservoir(capacity=48, workers=4, rng=19)
-        _feed_blocks(inline, points)
-        with ShardedReservoir(
-            capacity=48, workers=4, rng=19, backend="process"
-        ) as proc:
-            _feed_blocks(proc, points)
-            assert proc.worker_states() == inline.worker_states()
-            assert proc.payloads() == inline.payloads()
+    def test_process_backend_is_rejected(self):
+        with pytest.raises(ValueError, match="backend 'process'"):
+            ShardedReservoir(capacity=48, workers=4, backend="process")
+        fac = ShardedReservoir(capacity=48, workers=4, backend="inline")
+        assert fac.worker_states()[0]["sampler"]["offers"] == 0
 
     def test_facade_snapshot_restore_continue_matches(self):
         points = _stream(800)
@@ -232,3 +225,47 @@ class TestBackendsAndSnapshots:
     def test_snapshot_rejects_foreign_state(self):
         with pytest.raises(ValueError, match="snapshot"):
             ShardedReservoir.from_state_dict({"class": "Other"})
+
+    def test_snapshot_without_flush_size_field(self):
+        fac = ShardedReservoir(capacity=48, workers=4, rng=3)
+        fac.offer(7)
+        state = fac.state_dict()
+        assert "flush_size" not in state
+        state["flush_size"] = 8192  # written by earlier releases
+        restored = ShardedReservoir.from_state_dict(state)
+        assert restored.entries() == fac.entries()
+
+
+def _facade_snapshot(family="exponential"):
+    lam = 0.5 / 40 if family == "space_constrained" else None
+    fac = ShardedReservoir(
+        capacity=40, workers=4, lam=lam, family=family, rng=37
+    )
+    fac.offer_many(_stream(300))
+    return fac.state_dict()
+
+
+class TestMalformedFacadeSnapshots:
+    def test_worker_count_mismatch(self):
+        state = _facade_snapshot()
+        state["worker_states"] = state["worker_states"][:3]
+        with pytest.raises(ValueError, match="'worker_states' has 3"):
+            ShardedReservoir.from_state_dict(state)
+
+    def test_worker_capacity_mismatch(self):
+        state = _facade_snapshot()
+        state["worker_states"][1] = {
+            "sampler": ExponentialReservoir(capacity=25, rng=1).state_dict()
+        }
+        with pytest.raises(ValueError, match="entry 1 has capacity 25"):
+            ShardedReservoir.from_state_dict(state)
+
+    @pytest.mark.parametrize("family, other", [
+        ("exponential", SpaceConstrainedReservoir(capacity=10, p_in=0.5)),
+        ("space_constrained", ExponentialReservoir(capacity=10)),
+    ])
+    def test_worker_family_mismatch(self, family, other):
+        state = _facade_snapshot(family)
+        state["worker_states"][2] = {"sampler": other.state_dict()}
+        with pytest.raises(ValueError, match="entry 2 holds a"):
+            ShardedReservoir.from_state_dict(state)
