@@ -54,6 +54,19 @@ def test_skip_batch_not_slower(report):
 
 
 @pytest.mark.benchmark(group="batch-ingestion")
+@pytest.mark.parametrize(
+    "name", ["variable_fill_n5000", "variable_phases_n5000"]
+)
+def test_variable_batch_not_slower(report, name):
+    """Theorem 3.3's block path (vectorized fill, one geometric segment
+    per phase) must not lose to the per-item loop on either segment."""
+    result = _case(report, name)
+    assert result["speedup"] >= 1.0, (
+        f"{name}: offer_many only {result['speedup']:.2f}x over per-item"
+    )
+
+
+@pytest.mark.benchmark(group="batch-ingestion")
 def test_record_bench_json(report):
     """Persist the measurements where the acceptance harness reads them."""
     payload = record_section(report)

@@ -26,7 +26,17 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.bias import ExponentialBias
-from repro.core.reservoir import _SAMPLER_CLASSES, ReservoirSampler
+from repro.core.columns import (
+    ResidentColumns,
+    build_resident_columns,
+    frozen_columns,
+    point_rows,
+)
+from repro.core.reservoir import (
+    _SAMPLER_CLASSES,
+    ReservoirSampler,
+    SampleEntry,
+)
 from repro.utils.rng import RngLike
 
 __all__ = ["ExponentialReservoir"]
@@ -37,10 +47,12 @@ _NO_INDICES = np.empty(0, dtype=np.int64)
 
 
 def _object_array(block: Sequence[Any]) -> np.ndarray:
-    """1-D object array of ``block`` (safe for tuple payloads)."""
-    arr = np.empty(len(block), dtype=object)
-    arr[:] = block
-    return arr
+    """1-D object array of ``block`` (safe for tuple payloads).
+
+    ``fromiter`` stores each item as it is, without probing it for
+    sequence structure the way slice assignment does.
+    """
+    return np.fromiter(block, dtype=object, count=len(block))
 
 
 class ExponentialReservoir(ReservoirSampler):
@@ -103,6 +115,9 @@ class ExponentialReservoir(ReservoirSampler):
         self._pay = _NO_PAYLOADS
         self._arr = self._glob = _NO_INDICES
         self._size = 0
+        # Feature/label columns, allocated by the first `resident_columns()`
+        # call (see `_build_columns`).
+        self._vals: Optional[np.ndarray] = None
 
     def _allocate(self) -> None:
         """Allocate empty resident arrays of length ``capacity``."""
@@ -110,6 +125,7 @@ class ExponentialReservoir(ReservoirSampler):
         self._pay = np.empty(n, dtype=object)
         self._arr = np.empty(n, dtype=np.int64)
         self._glob = np.empty(n, dtype=np.int64)
+        self._vals = None  # stale columns: the next build starts over
 
     # ------------------------------------------------------------------ #
     # Ingestion
@@ -229,6 +245,40 @@ class ExponentialReservoir(ReservoirSampler):
         self.insertions += k
         self.ejections += k - new_count
 
+    def _eject_random(self, count: int) -> List[SampleEntry]:
+        """Remove ``count`` uniformly random residents (without replacement).
+
+        One victim is swap-removed (the last resident moves into its
+        slot); more are removed by one order-preserving compaction.
+        Column rows, once allocated, move with their residents.
+        """
+        size = self._size
+        count = min(int(count), size)
+        if count <= 0:
+            return []
+        columns = [self._pay, self._arr, self._glob]
+        if self._vals is not None:
+            columns += [self._vals, self._labs]
+        if count == 1:
+            victim = int(self.rng.integers(size))
+            evicted = [SampleEntry(int(self._arr[victim]), self._pay[victim])]
+            for column in columns:
+                column[victim] = column[size - 1]
+        else:
+            victims = self.rng.choice(size, size=count, replace=False)
+            evicted = [
+                SampleEntry(int(self._arr[v]), self._pay[v]) for v in victims
+            ]
+            keep = np.ones(size, dtype=bool)
+            keep[victims] = False
+            for column in columns:
+                column[: size - count] = column[:size][keep]
+        self._pay[size - count : size] = None  # release evicted payloads
+        self._size = size - count
+        self.ejections += count
+        self._record_op(("compact",))
+        return evicted
+
     # ------------------------------------------------------------------ #
     # Inspection (array-backed overrides)
     # ------------------------------------------------------------------ #
@@ -248,6 +298,36 @@ class ExponentialReservoir(ReservoirSampler):
     def global_arrivals(self) -> np.ndarray:
         """Global (whole-stream) arrival index per resident."""
         return self._glob[: self._size].copy()
+
+    def _build_columns(self) -> ResidentColumns:
+        """Refresh the resident columns in place; return a frozen copy.
+
+        Feature and label columns of length ``capacity`` are allocated on
+        the first call. Each later call rewrites only the rows whose local
+        arrival index is above the ``t`` of the previous refresh: every
+        insert stamps its slot with the current ``t``, and ejection
+        compaction moves column rows along with their residents. The
+        returned arrays are copies of the ``[:size]`` slices, so a view
+        never changes under its holder.
+        """
+        k = self._size
+        if not k:
+            return build_resident_columns([], _NO_INDICES)
+        if self._vals is None:
+            values, labels = point_rows(self._pay[:k])
+            self._vals = np.empty((self.capacity,) + values.shape[1:])
+            self._labs = np.empty(self.capacity, dtype=np.int64)
+            self._vals[:k], self._labs[:k] = values, labels
+        else:
+            dirty = np.nonzero(self._arr[:k] > self._cols_t)[0]
+            if len(dirty):
+                self._vals[dirty], self._labs[dirty] = point_rows(
+                    self._pay[dirty]
+                )
+        self._cols_t = self.t
+        return frozen_columns(
+            self._vals[:k].copy(), self._labs[:k].copy(), self._arr[:k].copy()
+        )
 
     # ------------------------------------------------------------------ #
     # Snapshots

@@ -8,7 +8,11 @@ is exactly the per-point work the columnar engine exists to avoid paying
 *per query*. :class:`ResidentColumns` is that one materialization;
 :meth:`~repro.core.reservoir.ReservoirSampler.resident_columns` caches it
 against a mutation key so every estimate between two reservoir mutations
-reuses the same arrays.
+reuses the same arrays. The array store
+(:class:`~repro.core.biased.ExponentialReservoir` and its subclasses)
+keeps full-capacity columns beside its residents and, per new view,
+re-reads only the payloads written since the previous one
+(:func:`point_rows` on those rows).
 
 The view requires :class:`~repro.streams.point.StreamPoint` payloads (the
 same contract the estimators already impose); offering any other payload
@@ -19,13 +23,18 @@ same error the per-point path raises on ``payload.values``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.streams.point import StreamPoint
 
-__all__ = ["ResidentColumns", "build_resident_columns"]
+__all__ = [
+    "ResidentColumns",
+    "build_resident_columns",
+    "frozen_columns",
+    "point_rows",
+]
 
 
 @dataclass(frozen=True)
@@ -43,7 +52,9 @@ class ResidentColumns:
         1-based arrival indices, shape ``(size,)``, int64.
 
     All three arrays are marked read-only: they are shared by every
-    consumer of the cached view, so nobody may scribble on them.
+    consumer of the cached view, so nobody may scribble on them. They are
+    never the sampler's working storage, so a held view stays as it was
+    when taken while the reservoir moves on.
     """
 
     values: np.ndarray
@@ -56,6 +67,40 @@ class ResidentColumns:
         return int(self.arrivals.shape[0])
 
 
+def point_rows(
+    payloads: Sequence[StreamPoint],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Feature rows ``(k, d)`` float64 and labels ``(k,)`` int64 of points.
+
+    ``payloads`` must be a non-empty sequence of :class:`StreamPoint`
+    objects; an unlabeled point gets label ``-1``.
+    """
+    first = payloads[0]
+    if not isinstance(first, StreamPoint):
+        # Same failure the per-point path hits on `payload.values` —
+        # callers (and tests) catch AttributeError for wrong payloads.
+        raise AttributeError(
+            "resident columns require StreamPoint payloads, got "
+            f"{type(first).__name__}"
+        )
+    values = np.array([p.values for p in payloads], dtype=np.float64)
+    labels = np.fromiter(
+        (-1 if p.label is None else p.label for p in payloads),
+        dtype=np.int64,
+        count=len(payloads),
+    )
+    return values, labels
+
+
+def frozen_columns(
+    values: np.ndarray, labels: np.ndarray, arrivals: np.ndarray
+) -> ResidentColumns:
+    """Wrap arrays the caller owns as a read-only :class:`ResidentColumns`."""
+    for column in (values, labels, arrivals):
+        column.setflags(write=False)
+    return ResidentColumns(values=values, labels=labels, arrivals=arrivals)
+
+
 def build_resident_columns(
     payloads: List[StreamPoint], arrivals: np.ndarray
 ) -> ResidentColumns:
@@ -65,27 +110,11 @@ def build_resident_columns(
     1-based arrival indices (same order). Empty storage yields
     ``(0, 0)``-shaped values.
     """
-    arrivals = np.asarray(arrivals, dtype=np.int64)
-    if not payloads:
+    if payloads:
+        values, labels = point_rows(payloads)
+    else:
         values = np.empty((0, 0))
         labels = np.empty(0, dtype=np.int64)
-    else:
-        first = payloads[0]
-        if not isinstance(first, StreamPoint):
-            # Same failure the per-point path hits on `payload.values` —
-            # callers (and tests) catch AttributeError for wrong payloads.
-            raise AttributeError(
-                "resident columns require StreamPoint payloads, got "
-                f"{type(first).__name__}"
-            )
-        values = np.array([p.values for p in payloads], dtype=np.float64)
-        labels = np.fromiter(
-            (-1 if p.label is None else p.label for p in payloads),
-            dtype=np.int64,
-            count=len(payloads),
-        )
-    values.setflags(write=False)
-    labels.setflags(write=False)
-    arrivals = arrivals.copy()
-    arrivals.setflags(write=False)
-    return ResidentColumns(values=values, labels=labels, arrivals=arrivals)
+    return frozen_columns(
+        values, labels, np.array(arrivals, dtype=np.int64)
+    )

@@ -256,38 +256,6 @@ class ReservoirSampler(ABC):
         self._record_op(("replace", slot))
         return evicted
 
-    def _eject_random(self, count: int) -> List[SampleEntry]:
-        """Remove ``count`` uniformly random residents (without replacement)."""
-        size = len(self._payloads)
-        count = min(int(count), size)
-        if count <= 0:
-            return []
-        if count == 1:
-            # Swap-remove fast path: the variable-reservoir scheme ejects
-            # exactly one point per phase, thousands of times per stream.
-            victim = int(self.rng.integers(size))
-            evicted_entry = SampleEntry(
-                self._arrivals[victim], self._payloads[victim]
-            )
-            self._payloads[victim] = self._payloads[-1]
-            self._arrivals[victim] = self._arrivals[-1]
-            self._payloads.pop()
-            self._arrivals.pop()
-            self.ejections += 1
-            self._record_op(("compact",))
-            return [evicted_entry]
-        victims = self.rng.choice(size, size=count, replace=False)
-        evicted = [
-            SampleEntry(self._arrivals[v], self._payloads[v]) for v in victims
-        ]
-        keep = np.ones(size, dtype=bool)
-        keep[victims] = False
-        self._payloads = [p for p, k in zip(self._payloads, keep) if k]
-        self._arrivals = [a for a, k in zip(self._arrivals, keep) if k]
-        self.ejections += count
-        self._record_op(("compact",))
-        return evicted
-
     # ------------------------------------------------------------------ #
     # Snapshots (checkpoint/restore and cross-process transport)
     # ------------------------------------------------------------------ #
@@ -400,13 +368,14 @@ class ReservoirSampler(ABC):
         """Cache key for :meth:`resident_columns`.
 
         Resident storage can only change through paths that bump
-        ``insertions`` or ``ejections`` (``_append``, ``_replace_at``,
-        ``_eject_random``, and every vectorized ``offer_many`` fast path
-        bumps them in bulk), so those counters — plus the size, as a
-        belt-and-braces guard for bespoke subclasses — identify a storage
-        epoch exactly. Families whose storage mutates outside the counter
-        paths (e.g. :class:`~repro.core.sliding_window.ChainSampler`)
-        override this with a key that changes on every storage change.
+        ``insertions`` or ``ejections`` (``_append``, ``_replace_at``, the
+        array store's ``_eject_random``, and every vectorized
+        ``offer_many`` fast path bumps them in bulk), so those counters —
+        plus the size, as a belt-and-braces guard for bespoke subclasses —
+        identify a storage epoch exactly. Families whose storage mutates
+        outside the counter paths (e.g.
+        :class:`~repro.core.sliding_window.ChainSampler`) override this
+        with a key that changes on every storage change.
         """
         return (self.insertions, self.ejections, self.size)
 
@@ -415,20 +384,27 @@ class ReservoirSampler(ABC):
 
         Returns contiguous ``values``/``labels``/``arrivals`` arrays (see
         :class:`~repro.core.columns.ResidentColumns`) in storage order.
-        The materialization is cached against :meth:`_columns_key`, so
-        repeated query estimates between two reservoir mutations reuse one
-        pass over the payloads instead of paying it per query. Requires
+        The view is cached against :meth:`_columns_key`, so repeated
+        query estimates between two reservoir mutations share one build;
+        a new build goes through :meth:`_build_columns`. Requires
         :class:`~repro.streams.point.StreamPoint` payloads.
         """
         key = self._columns_key()
         cached = self._columns_cache
         if cached is not None and cached[0] == key:
             return cached[1]
-        columns = build_resident_columns(
-            self.payloads(), self.arrival_indices()
-        )
+        columns = self._build_columns()
         self._columns_cache = (key, columns)
         return columns
+
+    def _build_columns(self) -> ResidentColumns:
+        """Build the resident view from scratch (one pass over payloads).
+
+        The array store (:class:`~repro.core.biased.ExponentialReservoir`)
+        overrides this to refresh only the rows written since its last
+        build.
+        """
+        return build_resident_columns(self.payloads(), self.arrival_indices())
 
     def __len__(self) -> int:
         return self.size

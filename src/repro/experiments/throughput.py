@@ -95,12 +95,16 @@ def _default_cases() -> List[Dict[str, Any]]:
 
     The headline case is ``ExponentialReservoir`` at ``n=10_000`` over a
     200k-point stream — the configuration the >=25x batch-speedup
-    acceptance criterion is stated against.
+    acceptance criterion is stated against. The two ``VariableReservoir``
+    cases time its block path where each segment kind dominates: a
+    stream that ends inside the fill segment, and one spent mostly in
+    the one-append phases (``lambda = 1e-4``, target ``p_in = 0.5``).
     """
     from repro.core import (
         ExponentialReservoir,
         SkipUnbiasedReservoir,
         UnbiasedReservoir,
+        VariableReservoir,
     )
 
     return [
@@ -121,6 +125,18 @@ def _default_cases() -> List[Dict[str, Any]]:
             "sampler": "SkipUnbiasedReservoir",
             "make": lambda: SkipUnbiasedReservoir(10_000, rng=7),
             "stream_length": 200_000,
+        },
+        {
+            "name": "variable_fill_n5000",
+            "sampler": "VariableReservoir",
+            "make": lambda: VariableReservoir(lam=1e-4, capacity=5_000, rng=7),
+            "stream_length": 5_000,
+        },
+        {
+            "name": "variable_phases_n5000",
+            "sampler": "VariableReservoir",
+            "make": lambda: VariableReservoir(lam=1e-4, capacity=5_000, rng=7),
+            "stream_length": 100_000,
         },
     ]
 

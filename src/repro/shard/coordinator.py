@@ -42,7 +42,11 @@ from typing import Any, Callable, Dict, Iterable, List, Optional
 import numpy as np
 
 from repro.core.biased import ExponentialReservoir, _object_array
-from repro.core.columns import ResidentColumns, build_resident_columns
+from repro.core.columns import (
+    ResidentColumns,
+    build_resident_columns,
+    frozen_columns,
+)
 from repro.core.merge import fold_exponential_reservoirs
 from repro.core.reservoir import SNAPSHOT_VERSION, SampleEntry
 from repro.core.space_constrained import SpaceConstrainedReservoir
@@ -331,20 +335,28 @@ class ShardedReservoir:
 
         Shard-aware analogue of
         :meth:`~repro.core.reservoir.ReservoirSampler.resident_columns`:
-        pending per-item buffers are flushed (via :meth:`entries`) and the
-        materialization is cached against the facade's stream position —
-        worker state is a pure function of the offers ingested, so with no
-        new offers the union residents cannot have changed. Requires
+        pending per-item buffers are flushed, and each worker's own
+        column view (refreshed in place on its rows written since its last
+        build) is stacked with its global arrival indices. The result is
+        cached against the facade's stream position — worker state is a
+        pure function of the offers ingested, so with no new offers the
+        union residents cannot have changed. Requires
         :class:`~repro.streams.point.StreamPoint` payloads.
         """
         cached = self._columns_cache
         if cached is not None and cached[0] == self.t:
             return cached[1]
-        entries = self.entries()
-        columns = build_resident_columns(
-            [e.payload for e in entries],
-            np.asarray([e.arrival for e in entries], dtype=np.int64),
-        )
+        self.flush()
+        samplers = [w.sampler for w in self._workers if w.sampler.size]
+        if samplers:
+            parts = [s.resident_columns() for s in samplers]
+            columns = frozen_columns(
+                np.concatenate([c.values for c in parts]),
+                np.concatenate([c.labels for c in parts]),
+                np.concatenate([s.global_arrivals() for s in samplers]),
+            )
+        else:
+            columns = build_resident_columns([], np.empty(0, dtype=np.int64))
         self._columns_cache = (self.t, columns)
         return columns
 

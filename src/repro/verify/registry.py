@@ -496,6 +496,37 @@ def _build_specs() -> Dict[str, ConformanceSpec]:
             ),
         )
     )
+    # At t=120 the fill (which ends near t=70) and the phases both still
+    # hold residents (mean p_in ~0.70), so these two see the startup
+    # that the steady-state spec above does not.
+    t_vs = 120
+    for suffix, batched, path in (
+        ("startup", False, "per-item"),
+        ("batched", True, "block-path"),
+    ):
+        specs.append(
+            ConformanceSpec(
+                name=f"variable-age-{suffix}",
+                family="variable",
+                theory="Theorem 3.3",
+                description=(
+                    f"{path} resident ages inside the startup (fill and "
+                    "phases) are truncated-geometric with q=1-lambda "
+                    f"(lam={lam_v}, n={n_v}, t={t_vs})"
+                ),
+                replicate=_ages(
+                    lambda rng: VariableReservoir(
+                        lam=lam_v, capacity=n_v, rng=rng
+                    ),
+                    t_vs,
+                    batched,
+                ),
+                check=FrequencyCheck(
+                    _geometric_age_pmf(1.0 - lam_v, t_vs), alpha=1e-4
+                ),
+                ingest="batched" if batched else "per-item",
+            )
+        )
 
     # --- timestamped hybrid decay ---------------------------------------
     # The hybrid model (*) is exact in the two regimes its docstring

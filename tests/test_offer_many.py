@@ -6,8 +6,9 @@ Two tiers of guarantee, each tested here:
   sequence as an ``offer`` loop, so per-item and batched runs at one seed
   must be byte-identical.
 * Samplers with vectorized fast paths (``ExponentialReservoir``,
-  ``SpaceConstrainedReservoir``, ``UnbiasedReservoir``,
-  ``SkipUnbiasedReservoir``, ``TimestampedExponentialReservoir``)
+  ``SpaceConstrainedReservoir``, ``VariableReservoir``,
+  ``UnbiasedReservoir``, ``SkipUnbiasedReservoir``,
+  ``TimestampedExponentialReservoir``)
   pre-draw their randomness in bulk,
   so only the *distribution* is guaranteed: counters and invariants match
   exactly, empirical inclusion frequencies match within statistical
@@ -38,9 +39,6 @@ from repro.streams.point import StreamPoint
 # ---------------------------------------------------------------------- #
 
 GENERIC_FALLBACK = {
-    "variable": lambda seed: VariableReservoir(
-        lam=1e-2, capacity=50, rng=seed
-    ),
     "time_decay": lambda seed: TimeDecayReservoir(
         lam_time=0.02, capacity=50, rng=seed
     ),
@@ -54,6 +52,9 @@ GENERIC_FALLBACK = {
 FAST_PATH = {
     "exponential": lambda seed: ExponentialReservoir(capacity=25, rng=seed),
     "space_constrained": lambda seed: SpaceConstrainedReservoir(
+        lam=1e-2, capacity=50, rng=seed
+    ),
+    "variable": lambda seed: VariableReservoir(
         lam=1e-2, capacity=50, rng=seed
     ),
     "unbiased": lambda seed: UnbiasedReservoir(25, rng=seed),

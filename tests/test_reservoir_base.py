@@ -9,6 +9,17 @@ from repro.core.unbiased import UnbiasedReservoir
 from repro.core.variable import VariableReservoir
 
 
+def _filled_array_store(capacity, rng):
+    """An array-store reservoir holding payloads ``0 .. capacity-1``."""
+    res = ExponentialReservoir(capacity=capacity, rng=rng)
+    res._restore_storage(
+        {"payloads": list(range(capacity)),
+         "arrivals": list(range(1, capacity + 1))}
+    )
+    res.t = res.offers = res.insertions = capacity
+    return res
+
+
 class TestStorageInvariants:
     @pytest.mark.parametrize(
         "factory",
@@ -115,14 +126,12 @@ class TestMutationLog:
         assert res.last_ops == [("append", 1)]  # only the latest offer
 
     def test_eject_random_zero_is_noop(self):
-        res = UnbiasedReservoir(5, rng=4)
-        res.extend(range(5))
+        res = _filled_array_store(5, rng=4)
         assert res._eject_random(0) == []
         assert res.size == 5
 
     def test_eject_random_returns_entries(self):
-        res = UnbiasedReservoir(5, rng=5)
-        res.extend(range(5))
+        res = _filled_array_store(5, rng=5)
         evicted = res._eject_random(2)
         assert len(evicted) == 2
         assert res.size == 3
@@ -171,8 +180,7 @@ class TestEjectRandomMultiVictim:
     """The count > 1 path of `_eject_random` (bulk compaction)."""
 
     def test_victims_unique_and_counters_move(self):
-        res = UnbiasedReservoir(20, rng=10)
-        res.extend(range(20))
+        res = _filled_array_store(20, rng=10)
         ejections_before = res.ejections
         evicted = res._eject_random(7)
         assert len(evicted) == 7
@@ -187,15 +195,13 @@ class TestEjectRandomMultiVictim:
         assert not set(res.payloads()) & {e.payload for e in evicted}
 
     def test_count_capped_at_size(self):
-        res = UnbiasedReservoir(5, rng=11)
-        res.extend(range(5))
+        res = _filled_array_store(5, rng=11)
         evicted = res._eject_random(99)
         assert len(evicted) == 5
         assert res.size == 0
 
     def test_records_compact_for_consumers(self):
-        res = UnbiasedReservoir(20, rng=12)
-        res.extend(range(20))
+        res = _filled_array_store(20, rng=12)
         res._eject_random(4)
         assert ("compact",) in res.last_ops
 
@@ -206,7 +212,7 @@ class TestEjectRandomMultiVictim:
         from repro.streams.point import StreamPoint
 
         rng = np.random.default_rng(13)
-        res = UnbiasedReservoir(15, rng=13)
+        res = ExponentialReservoir(capacity=15, rng=13)
         clf = ReservoirKnnClassifier(res, k=1)
         for i in range(15):
             clf.observe(StreamPoint(i + 1, rng.normal(size=2), label=i % 2))

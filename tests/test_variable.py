@@ -138,6 +138,15 @@ class TestDistribution:
         with pytest.raises(ValueError, match="t must be >= 0"):
             res.p_in_at(-1)
 
+    def test_survival_is_per_arrival_lambda_in_every_phase(self):
+        """The hazard is lambda before the target too, not p_in / n."""
+        res = VariableReservoir(lam=1e-3, capacity=100, rng=11)
+        res.extend(range(200))
+        assert res.p_in > res.target_p_in  # still in the startup phases
+        assert res.survival_probability(50) == (1 - 1e-3) ** 50
+        with pytest.raises(ValueError, match="age must be >= 0"):
+            res.survival_probability(-1)
+
 
 class TestCapacityOneEdgeCase:
     def test_capacity_one_uses_halving_default(self):
