@@ -10,9 +10,11 @@ is exactly the per-point work the columnar engine exists to avoid paying
 against a mutation key so every estimate between two reservoir mutations
 reuses the same arrays. The array store
 (:class:`~repro.core.biased.ExponentialReservoir` and its subclasses)
-keeps full-capacity columns beside its residents and, per new view,
-re-reads only the payloads written since the previous one
-(:func:`point_rows` on those rows).
+keeps its point residents in full-capacity value, label, ``None``-mask
+and index columns that every insert writes (rows from a
+:class:`~repro.streams.point.PointBlock` live there alone), so a new
+view copies slices of them and reads no payload; other samplers take
+one :func:`point_rows` pass over their payloads per view.
 
 The view requires :class:`~repro.streams.point.StreamPoint` payloads (the
 same contract the estimators already impose); offering any other payload

@@ -105,6 +105,11 @@ class ReservoirSampler(ABC):
     #: having a ``lam`` attribute alone is not sufficient.
     exponential_design: bool = False
 
+    #: Block types :meth:`offer_many` hands to :meth:`_offer_block` as
+    #: they are; any other iterable is listed first (a
+    #: :class:`~repro.streams.point.PointBlock` boxes into points).
+    _block_types: Tuple[type, ...] = (list, tuple)
+
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
         _SAMPLER_CLASSES[cls.__name__] = cls
@@ -183,10 +188,10 @@ class ReservoirSampler(ABC):
         """
         block = (
             payloads
-            if isinstance(payloads, (list, tuple))
+            if isinstance(payloads, self._block_types)
             else list(payloads)
         )
-        if not block:
+        if not len(block):
             return 0
         stored = self._offer_block(block)
         self._mark_compact()
@@ -401,8 +406,7 @@ class ReservoirSampler(ABC):
         """Build the resident view from scratch (one pass over payloads).
 
         The array store (:class:`~repro.core.biased.ExponentialReservoir`)
-        overrides this to refresh only the rows written since its last
-        build.
+        overrides this to copy its point columns.
         """
         return build_resident_columns(self.payloads(), self.arrival_indices())
 
@@ -472,18 +476,23 @@ def _check_storage(state: Dict[str, Any], capacity: int) -> None:
 
     Raises ``ValueError`` naming the field when the per-resident lists
     disagree in length, hold more residents than ``capacity``, or carry
-    an arrival index outside ``[1, t]``.
+    an arrival index outside ``[1, t]``. The residents are the
+    ``payloads`` list or, in a columnar snapshot, the ``points``
+    columns.
     """
-    k = len(state["payloads"])
+    if "points" in state:
+        name, k = "points", len(state["points"]["index"])
+    else:
+        name, k = "payloads", len(state["payloads"])
     for field in ("arrivals", "global_arrivals"):
         if field in state and len(state[field]) != k:
             raise ValueError(
                 f"snapshot field {field!r} has {len(state[field])} "
-                f"entries, 'payloads' has {k}"
+                f"entries, {name!r} has {k}"
             )
     if k > capacity:
         raise ValueError(
-            f"snapshot field 'payloads' holds {k} residents, more than "
+            f"snapshot field {name!r} holds {k} residents, more than "
             f"capacity {capacity}"
         )
     if k:

@@ -28,12 +28,12 @@ sampling (:mod:`repro.core.variable`).
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 import numpy as np
 
 from repro.core.bias import ExponentialBias
-from repro.core.biased import ExponentialReservoir, _object_array
+from repro.core.biased import ExponentialReservoir
 from repro.utils.rng import RngLike, require_probability
 
 __all__ = ["SpaceConstrainedReservoir"]
@@ -111,9 +111,7 @@ class SpaceConstrainedReservoir(ExponentialReservoir):
             return False
         return super().offer(payload)
 
-    def _offer_block(
-        self, block: Sequence[Any], glob: Optional[np.ndarray] = None
-    ) -> int:
+    def _admit_block(self, pay: Any, glob: Optional[np.ndarray]) -> int:
         """Algorithm 3.1 over a block (same distribution as :meth:`offer`).
 
         One bulk draw of gate coins picks the admitted arrivals; they go
@@ -121,11 +119,10 @@ class SpaceConstrainedReservoir(ExponentialReservoir):
         arrival indices. Returns the admitted count.
         """
         if self.p_in == 1.0:
-            return super()._offer_block(block, glob)
-        b = len(block)
+            return super()._admit_block(pay, glob)
+        b = len(pay)
         rows = np.nonzero(self.rng.random(b) < self.p_in)[0]
         local = self.t + 1 + rows
-        pay = block if isinstance(block, np.ndarray) else _object_array(block)
         self._scatter(pay[rows], local, local if glob is None else glob[rows])
         self.t += b
         self.offers += b

@@ -19,6 +19,9 @@ Implemented results
   coupon-collector-style recurrence used in the Theorem 3.2 proof).
 * ``expected_inclusion_*`` — the ``p(r, t)`` models of Property 2.1,
   Theorem 2.2, and Theorem 3.1, in vectorized form.
+* ``variable_phase_time_pmf`` — the exact law of the arrival at which
+  Theorem 3.3's variable reservoir makes its ``k``-th ``p_in``
+  reduction, by dynamic programming over its (size, phase) Markov chain.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ __all__ = [
     "expected_inclusion_unbiased",
     "expected_inclusion_exponential",
     "expected_inclusion_space_constrained",
+    "variable_phase_time_pmf",
 ]
 
 ArrayLike = Union[int, float, np.ndarray]
@@ -140,3 +144,62 @@ def expected_inclusion_space_constrained(
     if np.any(r_arr < 1) or np.any(r_arr > t):
         raise ValueError("require 1 <= r <= t")
     return p_in * np.exp(-p_in * (t - r_arr) / n)
+
+
+def variable_phase_time_pmf(
+    lam: float, n: int, phase: int, horizon: int, q: float
+) -> np.ndarray:
+    """Exact law of ``T_k``, the arrival of the ``k``-th phase transition.
+
+    :class:`~repro.core.variable.VariableReservoir` (``lambda = lam``,
+    capacity ``n``, reduction factor ``q``) starts in phase 0 with
+    ``p_0 = 1``. In phase ``j`` an arrival meeting ``s < n`` residents
+    appends with probability ``p_j (1 - min(1, s lambda / p_j))`` and
+    otherwise leaves the size alone; at ``s = n`` it never appends. Once
+    an arrival leaves ``n`` residents and ``p_j`` is above the target
+    ``min(1, n lambda)``, phase ``j + 1`` starts at that arrival with
+    ``p_{j+1} = max(target, q p_j)`` and ``round(n (1 - p_{j+1}/p_j))``
+    residents ejected. The same float operations as the sampler give
+    the same schedule.
+
+    Returns ``pmf`` over ``t = 0..horizon``: ``pmf[t] = P(T_k = t)`` for
+    ``t < horizon`` and ``pmf[horizon] = P(T_k >= horizon)``, the law of
+    ``min(T_k, horizon)``. Raises ``ValueError`` when the schedule ends
+    (``p_in`` reaches its target) before phase ``k``.
+    """
+    n = int(n)
+    phase = int(phase)
+    if n < 1 or phase < 1 or horizon < 1:
+        raise ValueError("need n >= 1, phase >= 1 and horizon >= 1")
+    target = min(1.0, n * lam)
+    p = [1.0]
+    ejected = []
+    while len(p) <= phase and p[-1] > target:
+        nxt = max(target, q * p[-1])
+        ejected.append(round(n * (1.0 - nxt / p[-1])))
+        p.append(nxt)
+    if len(p) <= phase:
+        raise ValueError(
+            f"p_in reaches its target after {len(p) - 1} phases, "
+            f"before phase {phase}"
+        )
+    sizes = np.arange(n + 1)
+    # append[j, s]: per-arrival append probability in phase j at size s.
+    append = np.array(
+        [pj * (1.0 - np.minimum(1.0, sizes / (pj / lam))) for pj in p[:phase]]
+    )
+    append[:, n] = 0.0
+    mass = np.zeros((phase, n + 1))
+    mass[0, 0] = 1.0
+    pmf = np.zeros(horizon + 1)
+    for t in range(1, horizon):
+        moved = mass * append
+        mass = mass - moved
+        mass[:, 1:] += moved[:, :-1]
+        full = mass[:, n].copy()
+        mass[:, n] = 0.0
+        for j in range(phase - 1):
+            mass[j + 1, n - ejected[j]] += full[j]
+        pmf[t] = full[phase - 1]
+    pmf[horizon] = max(0.0, 1.0 - pmf.sum())
+    return pmf

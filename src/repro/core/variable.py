@@ -29,12 +29,14 @@ proportionality constant tracks the current ``p_in``.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from bisect import bisect_right
+from operator import itemgetter
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.bias import ExponentialBias
-from repro.core.biased import ExponentialReservoir, _object_array
+from repro.core.biased import ExponentialReservoir
 from repro.utils.rng import RngLike
 
 __all__ = ["VariableReservoir"]
@@ -51,7 +53,7 @@ class VariableReservoir(ExponentialReservoir):
     :meth:`_eject_random`.
 
     Per item, :meth:`offer` is the paper's step. Per block,
-    :meth:`_offer_block` draws the same Markov chain in bulk (same
+    :meth:`_admit_block` draws the same Markov chain in bulk (same
     distribution, different random stream): between two appends the
     state ``(size s, p_in)`` is fixed, so each arrival is rejected with
     probability ``1 - p_in``, replaces a uniform resident with
@@ -144,28 +146,24 @@ class VariableReservoir(ExponentialReservoir):
                 if size == 0:
                     self._allocate()
                 slot = size
-                self._size = size + 1
                 self._record_op(("append", slot))
             self.insertions += 1
-            self._pay[slot] = payload
-            self._arr[slot] = self._glob[slot] = self.t
+            self._store(slot, payload)
+            if slot == size:
+                self._size = size + 1
         if self._size == self.capacity and self.p_in > self.target_p_in:
             self._reduce_phase()
         return accepted
 
-    def _offer_block(
-        self, block: Sequence[Any], glob: Optional[np.ndarray] = None
-    ) -> int:
+    def _admit_block(self, pay: Any, glob: Optional[np.ndarray]) -> int:
         """Theorem 3.3 over a block (same distribution as :meth:`offer`).
 
         Walks the block one segment at a time: the fill segment, then one
-        segment per phase, then the steady state. ``glob`` holds the
-        block's global arrival indices (default: the local ones). Returns
-        the accepted count.
+        segment per phase, then the steady state. Returns the accepted
+        count.
         """
-        b = len(block)
+        b = len(pay)
         t0, inserted = self.t, self.insertions
-        pay = block if isinstance(block, np.ndarray) else _object_array(block)
         local = t0 + 1 + np.arange(b, dtype=np.int64)
         glob = local if glob is None else glob
         n = self.capacity
@@ -267,13 +265,6 @@ class VariableReservoir(ExponentialReservoir):
         self._size = s + 1
         return end
 
-    def _write(self, slots, rows, pay, local, glob) -> None:
-        """Store block ``rows`` in ``slots`` (a repeated slot keeps its
-        last row); the caller moves the counters."""
-        self._pay[slots] = pay[rows]
-        self._arr[slots] = local[rows]
-        self._glob[slots] = glob[rows]
-
     def _reduce_phase(self) -> None:
         """Shrink ``p_in`` by ``q`` (clamped at the target) and thin the
         residents by the same fraction, per Theorem 3.3."""
@@ -325,12 +316,11 @@ class VariableReservoir(ExponentialReservoir):
         return (1.0 - self.lam) ** age
 
     def p_in_at(self, t: int) -> float:
-        """Insertion probability that was in force at stream position ``t``."""
+        """Insertion probability that was in force at stream position ``t``.
+
+        A binary search over the phase times, which never decrease.
+        """
         if t < 0:
             raise ValueError(f"t must be >= 0, got {t}")
-        current = 1.0
-        for when, value in self.phase_history:
-            if when > t:
-                break
-            current = value
-        return current
+        at = bisect_right(self.phase_history, t, key=itemgetter(0))
+        return self.phase_history[at - 1][1] if at else 1.0

@@ -51,7 +51,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.core.biased import _object_array
 from repro.core.reservoir import from_state_dict
 from repro.persist.checkpoint import (
     list_checkpoints,
@@ -68,6 +67,7 @@ from repro.persist.wal import (
     scan_wal,
     truncate_to,
 )
+from repro.streams.point import PointBlock
 
 __all__ = ["DurableReservoir", "RecoveryInfo", "PERSIST_SCHEMA_VERSION"]
 
@@ -240,10 +240,14 @@ class DurableReservoir:
         return stored
 
     def offer_many(self, payloads: Iterable[Any]) -> int:
-        """Journal then apply a block of arrivals."""
+        """Journal then apply a block of arrivals.
+
+        A :class:`~repro.streams.point.PointBlock` goes to the journal
+        and the sampler whole; any other iterable is listed first.
+        """
         self._check_open()
-        block = list(payloads)
-        if not block:
+        block = payloads if isinstance(payloads, PointBlock) else list(payloads)
+        if not len(block):
             return 0
         if self._sharded:
             # The dispatch listener journals each shard's sub-block.
@@ -458,9 +462,7 @@ class DurableReservoir:
             elif block.op == "b":
                 self.sampler.offer_many(block.payloads)
             else:
-                self.sampler._workers[w].ingest(
-                    _object_array(block.payloads), block.globs
-                )
+                self.sampler._workers[w].ingest(block.payloads, block.globs)
                 self._sharded_max_glob = max(
                     self._sharded_max_glob, int(block.globs[-1])
                 )

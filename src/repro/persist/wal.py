@@ -28,10 +28,14 @@ byte  name        payload
 ====  ==========  ====================================================
 
 The engine journals one :class:`WalBlock` per ingestion call and
-:func:`encode_record` picks the kind from the payloads alone. A block
-goes columnar when every payload is exactly a ``StreamPoint`` (no
-subclass) with an ``int`` index, an ``int``-or-``None`` label and one
-shared 1-D dimensionality ``d``. Everything else — per-item offers,
+:func:`encode_record` picks the kind from the payloads alone. A
+:class:`~repro.streams.point.PointBlock` goes columnar as it is, its
+arrays written directly; any other block goes columnar when
+:meth:`PointBlock.from_points <repro.streams.point.PointBlock.from_points>`
+accepts it: every payload exactly a ``StreamPoint`` (no subclass) with
+an ``int`` index, an ``int``-or-``None`` label within int64 and one
+shared 1-D dimensionality ``d``. The same points give the same bytes
+either way. Everything else — per-item offers,
 integer or arbitrary-object payloads, ``np.int64`` labels, mixed
 dimensionality — is pickled in the shape older releases wrote:
 ``("o", payload)``, ``("b", [payloads])`` or, for a shard dispatch,
@@ -49,9 +53,12 @@ A points body is a JSON header followed by raw little-endian arrays::
     globs       int64[n]     global arrival indices (op "s" only)
 
 An explicit ``none`` mask keeps ``-1`` a legal label. Decoding copies
-every array out of the segment buffer and rebuilds ``StreamPoint`` s of
-the same Python types and bits as the live ones, so crash → recover →
-resume stays byte-identical.
+every array out of the segment buffer into a
+:class:`~repro.streams.point.PointBlock` (the record's ``payloads``),
+which replay hands to the sampler whole; its rows box into
+``StreamPoint`` s of the same Python types and bits as the live ones,
+so crash → recover → resume stays byte-identical. A body whose arrays
+hold an index below 1 is refused like a malformed header.
 
 The reader is *tolerant*: a torn header, a short payload, a magic, kind
 or CRC mismatch, or a non-monotonic garbage tail all terminate the scan
@@ -94,7 +101,7 @@ from typing import Any, Callable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.streams.point import StreamPoint
+from repro.streams.point import PointBlock
 
 __all__ = [
     "WAL_VERSION",
@@ -148,7 +155,8 @@ class WalBlock(NamedTuple):
     ``op`` is ``"o"`` (one ``offer``; ``payloads`` is a one-element
     list), ``"b"`` (one ``offer_many`` block) or ``"s"`` (one shard
     dispatch; ``globs`` holds the payloads' int64 global arrival
-    indices).
+    indices). A decoded points record carries its payloads as a
+    :class:`~repro.streams.point.PointBlock`, a pickle record as a list.
     """
 
     op: str
@@ -219,35 +227,20 @@ def frame_record(kind: int, seq: int, payload: bytes) -> bytes:
 
 def _points_body(block: WalBlock) -> Optional[bytes]:
     """Columnar body of a StreamPoint block, or ``None`` if ineligible."""
-    payloads = block.payloads
-    if isinstance(payloads, np.ndarray):
-        payloads = payloads.tolist()  # lists iterate faster than object arrays
-    if block.op == "o" or set(map(type, payloads)) != {StreamPoint}:
+    if block.op == "o":
         return None
-    index = [p.index for p in payloads]
-    labels = [p.label for p in payloads]
-    if set(map(type, index)) != {int} or not (
-        set(map(type, labels)) <= {int, type(None)}
-    ):
+    points = PointBlock.from_points(block.payloads)
+    if points is None:
         return None
-    try:
-        values = np.array([p.values for p in payloads], dtype=np.float64)
-    except ValueError:  # mixed dimensionality
-        return None
-    if values.ndim != 2:
-        return None
-    none = np.zeros(len(labels), dtype=np.uint8)
-    if None in labels:
-        none[:] = [label is None for label in labels]
-        labels = [0 if label is None else label for label in labels]
-    try:
-        arrays = [np.array(index, "<i8"), np.array(labels, "<i8"), none]
-    except OverflowError:  # an int outside int64
-        return None
-    arrays.append(values.astype("<f8", copy=False))
+    arrays = [
+        points.index.astype("<i8", copy=False),
+        points.label.astype("<i8", copy=False),
+        points.none.view(np.uint8),
+        points.values.astype("<f8", copy=False),
+    ]
     if block.op == "s":
         arrays.append(np.asarray(block.globs).astype("<i8", copy=False))
-    n, d = values.shape
+    n, d = points.values.shape
     header = json.dumps({"op": block.op, "n": n, "d": d}).encode()
     return b"".join(
         [_U32.pack(len(header)), header] + [a.tobytes() for a in arrays]
@@ -275,8 +268,13 @@ def encode_record(seq: int, obj: Any) -> bytes:
 
 
 def _decode_points(body: memoryview) -> WalBlock:
-    """Rebuild a :class:`WalBlock` from a points body; ``ValueError`` if
-    the header is malformed or disagrees with the body length."""
+    """Rebuild a :class:`WalBlock` whose payloads are a
+    :class:`~repro.streams.point.PointBlock` from a points body.
+
+    ``ValueError`` if the header is malformed or disagrees with the body
+    length, the label mask holds a byte other than 0/1, or an arrival
+    index is below 1.
+    """
     if len(body) < _U32.size:
         raise ValueError("points body shorter than its header length")
     (header_len,) = _U32.unpack_from(body)
@@ -308,20 +306,15 @@ def _decode_points(body: memoryview) -> WalBlock:
         offset += raw.nbytes
         return raw.astype(native)  # a copy: never alias the segment
 
-    index = take("<i8", n, np.int64).tolist()
-    labels = take("<i8", n, np.int64).tolist()
+    index = take("<i8", n, np.int64)
+    labels = take("<i8", n, np.int64)
     none = take("u1", n, np.uint8)
     if none.max() > 1:
         raise ValueError("points label mask holds a byte other than 0/1")
-    for i in np.flatnonzero(none).tolist():
-        labels[i] = None
     values = take("<f8", n * d, np.float64).reshape(n, d)
     globs = take("<i8", n, np.int64) if op == "s" else None
-    payloads = [
-        StreamPoint(i, row, label)
-        for i, row, label in zip(index, values, labels)
-    ]
-    return WalBlock(op, payloads, globs)
+    points = PointBlock(index, labels, none.view(np.bool_), values)
+    return WalBlock(op, points, globs)
 
 
 _DECODERS = {

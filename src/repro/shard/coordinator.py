@@ -41,7 +41,11 @@ from typing import Any, Callable, Dict, Iterable, List, Optional
 
 import numpy as np
 
-from repro.core.biased import ExponentialReservoir, _object_array
+from repro.core.biased import (
+    ExponentialReservoir,
+    _as_payloads,
+    _object_array,
+)
 from repro.core.columns import (
     ResidentColumns,
     build_resident_columns,
@@ -56,6 +60,7 @@ from repro.shard.partition import (
     RoundRobinPartitioner,
 )
 from repro.shard.worker import ShardWorker
+from repro.streams.point import PointBlock
 from repro.utils.rng import RngLike, as_generator, require_probability
 
 __all__ = ["ShardedReservoir", "_GlobalAxisView"]
@@ -208,9 +213,11 @@ class ShardedReservoir:
         ]
 
         #: Called as ``listener(w, payloads, globs)`` before worker ``w``
-        #: ingests a block (the durability engine journals it here).
+        #: ingests a block (the durability engine journals it here);
+        #: ``payloads`` is an object array or, for a block offered as a
+        #: :class:`~repro.streams.point.PointBlock`, a sub-block of it.
         self.dispatch_listener: Optional[
-            Callable[[int, np.ndarray, np.ndarray], None]
+            Callable[[int, Any, np.ndarray], None]
         ] = None
         self._buf_payloads: List[List[Any]] = [[] for _ in range(workers)]
         self._buf_globals: List[List[int]] = [[] for _ in range(workers)]
@@ -254,7 +261,7 @@ class ShardedReservoir:
         """
         block = (
             payloads
-            if isinstance(payloads, (list, tuple))
+            if isinstance(payloads, (list, tuple, PointBlock))
             else list(payloads)
         )
         b = len(block)
@@ -263,7 +270,7 @@ class ShardedReservoir:
         self.flush()
         t0 = self.t
         ids = self.partitioner.assign_block(t0, block)
-        arr = _object_array(block)
+        arr = _as_payloads(block)
         globs = t0 + 1 + np.arange(b, dtype=np.int64)
         self.t = t0 + b
         for w in range(self.workers):
@@ -336,8 +343,8 @@ class ShardedReservoir:
         Shard-aware analogue of
         :meth:`~repro.core.reservoir.ReservoirSampler.resident_columns`:
         pending per-item buffers are flushed, and each worker's own
-        column view (refreshed in place on its rows written since its last
-        build) is stacked with its global arrival indices. The result is
+        column view (copied from its point columns) is stacked with its
+        global arrival indices. The result is
         cached against the facade's stream position — worker state is a
         pure function of the offers ingested, so with no new offers the
         union residents cannot have changed. Requires

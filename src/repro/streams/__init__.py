@@ -8,7 +8,7 @@ from repro.streams.io import (
     save_stream_csv,
 )
 from repro.streams.kdd99 import Kdd99LabelMap, load_kdd99
-from repro.streams.point import StreamPoint
+from repro.streams.point import PointBlock, StreamPoint
 from repro.streams.synthetic import EvolvingClusterStream
 from repro.streams.transforms import (
     chunked,
@@ -23,6 +23,7 @@ from repro.streams.transforms import (
 
 __all__ = [
     "StreamPoint",
+    "PointBlock",
     "StreamGenerator",
     "materialize",
     "stream_to_arrays",

@@ -20,9 +20,11 @@ Parsing
 :func:`load_stream_csv_chunks` reads ``chunk_size`` lines at a time. It
 splits the index and label off each line once, then parses the value
 columns of the whole chunk with a single :func:`numpy.loadtxt` call into
-a ``(b, d)`` float64 block; :func:`load_stream_csv` is its flatten.
-Every yielded :class:`StreamPoint` owns its row (a resident never pins
-the chunk's buffer).
+a ``(b, d)`` float64 block, and yields the chunk as a
+:class:`~repro.streams.point.PointBlock`: no Python object is built per
+row. A chunk holding an index or label outside int64 is yielded as a
+list of :class:`StreamPoint` s instead, each owning its row.
+:func:`load_stream_csv` is the flatten, boxing rows into points.
 
 Validation
 ----------
@@ -40,11 +42,11 @@ from __future__ import annotations
 
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.streams.point import StreamPoint
+from repro.streams.point import PointBlock, StreamPoint
 
 __all__ = ["save_stream_csv", "load_stream_csv", "load_stream_csv_chunks"]
 
@@ -98,22 +100,25 @@ def load_stream_csv(path: PathLike) -> Iterator[StreamPoint]:
 
 def load_stream_csv_chunks(
     path: PathLike, chunk_size: int = 4096
-) -> Iterator[List[StreamPoint]]:
-    """Lazily read a stream CSV as lists of up to ``chunk_size`` points.
+) -> Iterator[Sequence[StreamPoint]]:
+    """Lazily read a stream CSV as blocks of up to ``chunk_size`` points.
 
     The batched counterpart of :func:`load_stream_csv`, shaped for
     :meth:`~repro.core.reservoir.ReservoirSampler.offer_many`: each yielded
     chunk can be handed to a sampler whole, so file replay runs at the
     block-ingestion rate instead of one ``offer`` call per row. Each chunk
-    is parsed as one block (module docstring). ``chunk_size < 1`` raises
-    here, not at the first ``next()``.
+    is parsed as one block and yielded as a
+    :class:`~repro.streams.point.PointBlock` (module docstring).
+    ``chunk_size < 1`` raises here, not at the first ``next()``.
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     return _read_chunks(Path(path), chunk_size)
 
 
-def _read_chunks(path: Path, chunk_size: int) -> Iterator[List[StreamPoint]]:
+def _read_chunks(
+    path: Path, chunk_size: int
+) -> Iterator[Sequence[StreamPoint]]:
     with path.open() as handle:
         header = handle.readline()
         if not header:
@@ -137,7 +142,7 @@ def _read_chunks(path: Path, chunk_size: int) -> Iterator[List[StreamPoint]]:
 
 def _parse_chunk(
     lines: Iterable[str], dimensions: int, path: Path, first_line: int
-) -> List[StreamPoint]:
+) -> Sequence[StreamPoint]:
     """Parse one chunk of data lines, or raise naming the first bad line."""
 
     def fail(offset: int, why: str) -> ValueError:
@@ -145,6 +150,7 @@ def _parse_chunk(
 
     indices: List[int] = []
     labels: List[Optional[int]] = []
+    nones: List[int] = []  # offsets of the lines with an empty label
     cells: List[str] = []
     for offset, text in enumerate(lines):
         fields = text.split(",", 2)
@@ -155,10 +161,16 @@ def _parse_chunk(
             indices.append(int(index))
         except ValueError:
             raise fail(offset, f"index {index!r} is not an integer") from None
-        try:
-            labels.append(None if label == "" else int(label))
-        except ValueError:
-            raise fail(offset, f"label {label!r} is not an integer") from None
+        if label == "":
+            labels.append(0)
+            nones.append(offset)
+        else:
+            try:
+                labels.append(int(label))
+            except ValueError:
+                raise fail(
+                    offset, f"label {label!r} is not an integer"
+                ) from None
         cells.append(rest)
     if not cells:
         return []
@@ -184,10 +196,22 @@ def _parse_chunk(
         offset, column = np.argwhere(~np.isfinite(values))[0].tolist()
         bad = values[offset, column]
         raise fail(offset, f"non-finite value v{column} = {bad}")
-    return [
-        StreamPoint(index, row.copy(), label)
-        for index, row, label in zip(indices, values, labels)
-    ]
+    none = np.zeros(len(cells), dtype=np.bool_)
+    none[nones] = True
+    try:
+        return PointBlock(
+            np.array(indices, dtype=np.int64),
+            np.array(labels, dtype=np.int64),
+            none,
+            values,
+        )
+    except OverflowError:  # an index or label outside int64
+        for offset in nones:
+            labels[offset] = None
+        return [
+            StreamPoint(index, row.copy(), label)
+            for index, row, label in zip(indices, values, labels)
+        ]
 
 
 def _ragged(fields: int, dimensions: int) -> str:

@@ -19,7 +19,11 @@ closed-form model that :mod:`repro.core.theory` and the sampler's own
   recurrence, so the replicate-mean z-test is honest).
 * Variable reservoir sampling — Theorem 3.3: hazard exactly ``lambda``
   in every phase, and phase thinnings are uniform, so the age law stays
-  truncated-geometric with ``q = 1 - lambda``.
+  truncated-geometric with ``q = 1 - lambda``. The arrival of the
+  ``k``-th phase transition follows the exact law of the (size, phase)
+  Markov chain (:func:`~repro.core.theory.variable_phase_time_pmf`);
+  the age law barely depends on when phases happen, so this pins the
+  schedule itself.
 * Timestamped hybrid — unit-spaced arrivals give per-step survival
   ``exp(-lam_time) * (1 - 1/n)`` (Poisson-mgf time factor times the
   deterministic-insertion replacement factor).
@@ -48,7 +52,7 @@ from repro.core.biased import ExponentialReservoir
 from repro.core.merge import merge_exponential_reservoirs
 from repro.core.sliding_window import ChainSampler, WindowBuffer
 from repro.core.space_constrained import SpaceConstrainedReservoir
-from repro.core.theory import expected_fill_trajectory
+from repro.core.theory import expected_fill_trajectory, variable_phase_time_pmf
 from repro.core.time_proportional import TimeDecayReservoir
 from repro.core.timestamped import TimestampedExponentialReservoir
 from repro.core.unbiased import SkipUnbiasedReservoir, UnbiasedReservoir
@@ -131,6 +135,22 @@ def _ages(factory, t, batched):
         res = factory(rng)
         _feed(res, t, batched)
         return res.ages()
+
+    return replicate
+
+
+def _phase_time(factory, phase, horizon, batched):
+    """Arrival of the ``phase``-th ``p_in`` reduction, capped at
+    ``horizon`` (the model's last bin holds the tail)."""
+
+    def replicate(rng: np.random.Generator) -> np.ndarray:
+        res = factory(rng)
+        while len(res.phase_history) <= phase:
+            if batched:
+                res.offer_many(range(res.t, res.t + _BATCH))
+            else:
+                res.offer(res.t)
+        return np.array([min(res.phase_history[phase][0], horizon)])
 
     return replicate
 
@@ -523,6 +543,43 @@ def _build_specs() -> Dict[str, ConformanceSpec]:
                 ),
                 check=FrequencyCheck(
                     _geometric_age_pmf(1.0 - lam_v, t_vs), alpha=1e-4
+                ),
+                ingest="batched" if batched else "per-item",
+            )
+        )
+
+    # The arrival of the 10th phase transition (mean ~91: the fill ends
+    # near 70, then nine phases of ~2-3 arrivals each). Shifting every
+    # phase's append by one arrival moves it by 9, over one standard
+    # deviation, while the age specs above barely move.
+    k_vp, horizon_vp = 10, 300
+    for suffix, batched, path in (
+        ("", False, "per-item"),
+        ("-batched", True, "block-path"),
+    ):
+        specs.append(
+            ConformanceSpec(
+                name=f"variable-phase-times{suffix}",
+                family="variable",
+                theory="Theorem 3.3 phase schedule",
+                description=(
+                    f"{path} arrival of the {k_vp}th p_in reduction follows "
+                    "the exact law of the (size, phase) chain "
+                    f"(lam={lam_v}, n={n_v})"
+                ),
+                replicate=_phase_time(
+                    lambda rng: VariableReservoir(
+                        lam=lam_v, capacity=n_v, rng=rng
+                    ),
+                    k_vp,
+                    horizon_vp,
+                    batched,
+                ),
+                check=FrequencyCheck(
+                    variable_phase_time_pmf(
+                        lam_v, n_v, k_vp, horizon_vp, 1.0 - 1.0 / n_v
+                    ),
+                    alpha=1e-4,
                 ),
                 ingest="batched" if batched else "per-item",
             )

@@ -141,9 +141,8 @@ class TestCodecRoundTrip:
         assert points[0].values.base is not None  # live rows are views
         _kind_byte, decoded = _roundtrip(tmp_path, WalBlock("b", points))
         for p in decoded.payloads:
-            owner = p.values.base
-            # Rows of one owned copy, not views of the segment's bytes.
-            assert isinstance(owner, np.ndarray) and owner.base is None
+            # Each row is an owned copy, never a view of the segment's bytes.
+            assert p.values.base is None
 
     def test_shard_block_carries_global_indices(self, tmp_path):
         points = _chunk_points()

@@ -133,6 +133,15 @@ class TestDistribution:
         recorded = [p for _, p in res.phase_history]
         assert any(math.isclose(mid, p) for p in recorded)
 
+    def test_p_in_at_matches_a_scan_of_the_history(self):
+        res = VariableReservoir(lam=2e-2, capacity=20, rng=11)
+        res.offer_many(range(400))
+        history = res.phase_history
+        assert len(history) > 5
+        for t in range(res.t + 2):
+            scanned = [value for when, value in history if when <= t][-1]
+            assert res.p_in_at(t) == scanned
+
     def test_p_in_at_negative_raises(self):
         res = VariableReservoir(lam=1e-4, capacity=500)
         with pytest.raises(ValueError, match="t must be >= 0"):
