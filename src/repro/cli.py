@@ -10,9 +10,9 @@ Four subcommands cover the library's workflows without writing Python:
   and print/persist its series table.
 * ``repro theory`` — reservoir sizing numbers from the paper's theorems.
 * ``repro bench`` — measure batched vs per-item ingestion throughput
-  (``--suite batch``) and/or the columnar query engine vs its per-point
-  reference path (``--suite query``), recorded to
-  ``BENCH_throughput.json``.
+  (``--suite batch``) and/or the columnar query engine's estimates/sec
+  and the exact oracle's incremental vs scan cost (``--suite query``),
+  recorded to ``BENCH_throughput.json``.
 * ``repro verify`` — run the statistical conformance specs (sampler vs
   paper model, Monte-Carlo with a process fan-out) plus adversarial
   invariant checks, and write ``VERIFY_report.json``.
@@ -557,12 +557,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
         report["query"] = query
         est, oracle = query["estimator"], query["oracle"]
-        identical = "identical" if est["estimates_identical"] else "DIVERGED"
         print(
             f"query engine: columnar "
-            f"{est['columnar_estimates_per_sec']:,.0f} est/s vs per-point "
-            f"{est['per_point_estimates_per_sec']:,.0f} est/s "
-            f"({est['speedup']:.1f}x, estimates {identical})"
+            f"{est['columnar_estimates_per_sec']:,.0f} est/s"
         )
         print(
             f"exact oracle: checkpoint cost grew "

@@ -1,11 +1,12 @@
 """Struct-of-arrays view of a reservoir's residents.
 
-Query evaluation (:mod:`repro.queries`) is array-native: every estimate is
-a handful of numpy reductions over the residents' feature values, labels,
-and arrival indices. Materializing those three contiguous columns from the
-reservoir's payload list costs one Python pass over the residents — which
-is exactly the per-point work the columnar engine exists to avoid paying
-*per query*. :class:`ResidentColumns` is that one materialization;
+Query evaluation (:mod:`repro.queries`) and the mining readers
+(:mod:`repro.mining`) are array-native: every estimate is a handful of
+numpy reductions over the residents' feature values, labels, and arrival
+indices, and :class:`ResidentColumns` is the only way they get resident
+rows. Materializing those three contiguous columns from a payload list
+costs one Python pass over the residents, so it must not be paid *per
+query*: :class:`ResidentColumns` is that one materialization;
 :meth:`~repro.core.reservoir.ReservoirSampler.resident_columns` caches it
 against a mutation key so every estimate between two reservoir mutations
 reuses the same arrays. The array store
@@ -16,10 +17,10 @@ and index columns that every insert writes (rows from a
 view copies slices of them and reads no payload; other samplers take
 one :func:`point_rows` pass over their payloads per view.
 
-The view requires :class:`~repro.streams.point.StreamPoint` payloads (the
-same contract the estimators already impose); offering any other payload
-type makes :func:`build_resident_columns` raise ``AttributeError``, the
-same error the per-point path raises on ``payload.values``.
+The view requires :class:`~repro.streams.point.StreamPoint` payloads;
+any other payload type makes :func:`build_resident_columns` raise
+``AttributeError`` (the error reading ``payload.values`` would raise).
+Count queries read only the arrival indices and need no view.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def point_rows(
     """
     first = payloads[0]
     if not isinstance(first, StreamPoint):
-        # Same failure the per-point path hits on `payload.values` —
+        # The failure `payload.values` would raise on such a payload —
         # callers (and tests) catch AttributeError for wrong payloads.
         raise AttributeError(
             "resident columns require StreamPoint payloads, got "

@@ -13,9 +13,7 @@ import json
 import platform
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
-
-import numpy as np
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.reservoir import ReservoirSampler
 
@@ -24,6 +22,8 @@ __all__ = [
     "throughput_report",
     "sharded_throughput_report",
     "durable_throughput_report",
+    "query_bench_inputs",
+    "estimates_seconds",
     "query_throughput_report",
     "write_throughput_json",
     "BENCH_JSON_NAME",
@@ -291,40 +291,24 @@ def durable_throughput_report(
     }
 
 
-def query_throughput_report(
+def query_bench_inputs(
     capacity: int = 1000,
     lam: float = 1e-4,
     stream_length: int = 50_000,
     dimensions: int = 10,
-    repeats: int = 3,
-    eval_rounds: int = 20,
-    quick: bool = False,
-) -> Dict[str, Any]:
-    """Columnar vs per-point query evaluation, incremental vs scan oracle.
+) -> Tuple[ReservoirSampler, Any, List[Any]]:
+    """The seeded inputs the query benchmark times.
 
-    Two measurements over one seeded synthetic stream:
-
-    * **Estimator**: the full builder-query suite (count, sum, range
-      count, class count, average, range selectivity — the queries every
-      figure evaluates) is estimated ``eval_rounds`` times against the
-      same reservoir through the columnar engine and through the
-      per-point reference path (``QueryEstimator(columnar=False)``).
-      Reported as estimates/sec per path plus ``speedup`` and
-      ``estimates_identical`` — the two paths must agree bit for bit, so
-      the speedup is pure engine, not approximation.
-    * **Oracle**: the exact :class:`~repro.queries.exact.StreamHistory`
-      answer for the whole-history average is timed at a quarter-stream
-      checkpoint and at the full stream, via the incremental prefix
-      structures and via the horizon scan. ``incremental_cost_growth``
-      stays ~flat while ``scan_cost_growth`` tracks the 4x horizon
-      growth — the O(dims) vs O(horizon) claim, measured.
-
-    ``quick=True`` shrinks the stream and round counts for smoke-test
-    latency (CI) without changing the report's shape.
+    Returns ``(sampler, history, queries)``: an Algorithm 3.1 reservoir
+    and a :class:`~repro.queries.exact.StreamHistory` fed the same
+    seeded synthetic stream, and the builder-query suite every figure
+    evaluates (count, sum, range count, class count, average, range
+    selectivity) at a quarter-stream horizon. Equal arguments give equal
+    inputs, so a second timing over them (the per-point oracle in
+    ``tests/query_oracle.py``) compares like with like.
     """
     from repro.core import SpaceConstrainedReservoir
     from repro.queries import (
-        QueryEstimator,
         StreamHistory,
         average_query,
         class_count_query,
@@ -334,15 +318,6 @@ def query_throughput_report(
         sum_query,
     )
     from repro.streams import EvolvingClusterStream
-
-    if quick:
-        stream_length = min(stream_length, 8_000)
-        eval_rounds = min(eval_rounds, 3)
-        repeats = 1
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    if eval_rounds < 1:
-        raise ValueError(f"eval_rounds must be >= 1, got {eval_rounds}")
 
     sampler = SpaceConstrainedReservoir(lam=lam, capacity=capacity, rng=7)
     history = StreamHistory(dimensions)
@@ -363,44 +338,84 @@ def query_throughput_report(
         average_query(horizon, dims),
         range_selectivity_query(horizon, (0, 1), (0.0, 0.0), (1.0, 1.0)),
     ]
+    return sampler, history, queries
 
-    def estimates(estimator: QueryEstimator) -> List[Any]:
-        return [estimator.estimate(q).estimate for q in queries]
 
-    def estimator_seconds(estimator: QueryEstimator) -> float:
-        def run() -> float:
-            start = time.perf_counter()
-            for _ in range(eval_rounds):
-                estimates(estimator)
-            return time.perf_counter() - start
+def estimates_seconds(
+    estimate: Callable[[Any], Any],
+    queries: List[Any],
+    rounds: int,
+    repeats: int,
+) -> float:
+    """Best-of-``repeats`` wall time of ``rounds`` passes of
+    ``estimate(query)`` over ``queries``."""
 
-        return _best_of(repeats, run)
+    def run() -> float:
+        start = time.perf_counter()
+        for _ in range(rounds):
+            for query in queries:
+                estimate(query)
+        return time.perf_counter() - start
 
-    columnar = QueryEstimator(sampler)
-    per_point = QueryEstimator(sampler, columnar=False)
+    return _best_of(repeats, run)
+
+
+def query_throughput_report(
+    capacity: int = 1000,
+    lam: float = 1e-4,
+    stream_length: int = 50_000,
+    dimensions: int = 10,
+    repeats: int = 3,
+    eval_rounds: int = 20,
+    quick: bool = False,
+) -> Dict[str, Any]:
+    """Columnar query-engine throughput, incremental vs scan oracle.
+
+    Two measurements over :func:`query_bench_inputs`:
+
+    * **Estimator**: the builder-query suite is estimated
+      ``eval_rounds`` times against the same reservoir through
+      :class:`~repro.queries.estimator.QueryEstimator` and reported as
+      estimates/sec.
+    * **Oracle**: the exact :class:`~repro.queries.exact.StreamHistory`
+      answer for the whole-history average is timed at a quarter-stream
+      checkpoint and at the full stream, via the incremental prefix
+      structures and via the horizon scan. ``incremental_cost_growth``
+      stays ~flat while ``scan_cost_growth`` tracks the 4x horizon
+      growth — the O(dims) vs O(horizon) claim, measured.
+
+    ``quick=True`` shrinks the stream and round counts for smoke-test
+    latency (CI) without changing the report's shape.
+    """
+    from repro.queries import QueryEstimator, average_query
+
+    if quick:
+        stream_length = min(stream_length, 8_000)
+        eval_rounds = min(eval_rounds, 3)
+        repeats = 1
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    if eval_rounds < 1:
+        raise ValueError(f"eval_rounds must be >= 1, got {eval_rounds}")
+
+    sampler, history, queries = query_bench_inputs(
+        capacity, lam, stream_length, dimensions
+    )
     sampler.resident_columns()  # warm the cache outside the timed region
-    columnar_s = estimator_seconds(columnar)
-    per_point_s = estimator_seconds(per_point)
-    n_estimates = eval_rounds * len(queries)
-    identical = all(
-        np.array_equal(a, b, equal_nan=True)
-        for a, b in zip(estimates(columnar), estimates(per_point))
+    columnar_s = estimates_seconds(
+        QueryEstimator(sampler).estimate, queries, eval_rounds, repeats
     )
 
     # Oracle cost at a quarter-stream vs full-stream checkpoint. The
     # whole-history query makes the scan horizon grow with t while the
     # incremental answer stays O(dims).
-    oracle_query = average_query(None, dims)
+    oracle_query = average_query(None, range(dimensions))
     checkpoints = [stream_length // 4, stream_length]
 
     def oracle_seconds(evaluate: Callable[..., Any], t: int) -> float:
-        def run() -> float:
-            start = time.perf_counter()
-            for _ in range(eval_rounds):
-                evaluate(oracle_query, t)
-            return time.perf_counter() - start
-
-        return _best_of(repeats, run) / eval_rounds
+        return estimates_seconds(
+            lambda q: evaluate(q, t), [oracle_query], eval_rounds, repeats
+        ) / eval_rounds
 
     inc_s = [oracle_seconds(history.evaluate, t) for t in checkpoints]
     scan_s = [oracle_seconds(history.evaluate_scan, t) for t in checkpoints]
@@ -410,18 +425,15 @@ def query_throughput_report(
         "lam": lam,
         "stream_length": stream_length,
         "dimensions": dimensions,
-        "horizon": horizon,
+        "horizon": queries[0].horizon,
         "repeats": repeats,
         "eval_rounds": eval_rounds,
         "quick": quick,
-        "queries": [
-            getattr(q, "name", "ratio") for q in queries
-        ],
+        "queries": [q.name for q in queries],
         "estimator": {
-            "columnar_estimates_per_sec": n_estimates / columnar_s,
-            "per_point_estimates_per_sec": n_estimates / per_point_s,
-            "speedup": per_point_s / columnar_s,
-            "estimates_identical": bool(identical),
+            "columnar_estimates_per_sec": (
+                eval_rounds * len(queries) / columnar_s
+            ),
         },
         "oracle": {
             "checkpoints": checkpoints,

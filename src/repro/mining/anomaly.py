@@ -60,10 +60,8 @@ class ReservoirAnomalyScorer:
         self.recent_scores: Deque[float] = deque(maxlen=int(score_memory))
 
     def _matrix(self) -> Optional[np.ndarray]:
-        payloads = self.sampler.payloads()
-        if not payloads:
-            return None
-        return np.vstack([p.values for p in payloads])
+        columns = self.sampler.resident_columns()
+        return columns.values if columns.size else None
 
     def score(self, point: StreamPoint) -> Optional[float]:
         """Mean distance to the ``k`` nearest residents (``None`` if the

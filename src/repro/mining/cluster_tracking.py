@@ -90,14 +90,8 @@ class ClusterTracker:
         self._centers: Optional[np.ndarray] = None
 
     def _reservoir_matrix(self) -> Optional[np.ndarray]:
-        rows = [
-            p.values
-            for p in self.sampler.payloads()
-            if isinstance(p, StreamPoint)
-        ]
-        if len(rows) < self.k:
-            return None
-        return np.vstack(rows)
+        columns = self.sampler.resident_columns()
+        return columns.values if columns.size >= self.k else None
 
     def _fit(self) -> Optional[KMeansResult]:
         data = self._reservoir_matrix()

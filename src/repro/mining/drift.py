@@ -31,7 +31,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.reservoir import ReservoirSampler
-from repro.streams.point import StreamPoint
 
 __all__ = ["DriftScore", "ReservoirDriftDetector"]
 
@@ -122,32 +121,31 @@ class ReservoirDriftDetector:
         self.max_stratum = int(max_stratum)
 
     def _strata(self):
+        """(values, HT weights) of the recent and the historical stratum,
+        read from the resident view with one age mask."""
         t = self.sampler.t
-        arrivals = self.sampler.arrival_indices()
-        probs = self.sampler.inclusion_probabilities(arrivals, t)
-        payloads = self.sampler.payloads()
-        recent_v, recent_w, old_v, old_w = [], [], [], []
-        for point, r, p in zip(payloads, arrivals, probs):
-            if not isinstance(point, StreamPoint):
-                raise TypeError("drift detection requires StreamPoint payloads")
-            row = point.values
-            weight = 1.0 / p
-            if t - r < self.threshold_age:
-                recent_v.append(row)
-                recent_w.append(weight)
-            else:
-                old_v.append(row)
-                old_w.append(weight)
-        return recent_v, recent_w, old_v, old_w
+        try:
+            columns = self.sampler.resident_columns()
+        except AttributeError:
+            raise TypeError(
+                "drift detection requires StreamPoint payloads"
+            ) from None
+        weights = 1.0 / self.sampler.inclusion_probabilities(
+            columns.arrivals, t
+        )
+        recent = (t - columns.arrivals) < self.threshold_age
+        return (
+            columns.values[recent],
+            weights[recent],
+            columns.values[~recent],
+            weights[~recent],
+        )
 
     def _subsample(self, values, weights, rng):
         if len(values) <= self.max_stratum:
-            return np.vstack(values), np.asarray(weights)
+            return values, weights
         idx = rng.choice(len(values), size=self.max_stratum, replace=False)
-        return (
-            np.vstack([values[i] for i in idx]),
-            np.asarray([weights[i] for i in idx]),
-        )
+        return values[idx], weights[idx]
 
     def score(self, rng=None) -> Optional[DriftScore]:
         """Compare the strata; ``None`` if either stratum has < 2 points."""

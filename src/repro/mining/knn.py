@@ -17,7 +17,10 @@ contents, updated incrementally from the sampler's mutation log
 (:attr:`~repro.core.reservoir.ReservoirSampler.last_ops`), so a prequential
 pass costs one row write plus one vectorized distance computation per
 point. Samplers without a mutation log fall back to re-snapshotting
-whenever their contents change.
+whenever their contents change; a re-snapshot copies the sampler's
+columnar resident view
+(:meth:`~repro.core.reservoir.ReservoirSampler.resident_columns`), so it
+reads no payload objects.
 """
 
 from __future__ import annotations
@@ -72,14 +75,16 @@ class ReservoirKnnClassifier:
     # ------------------------------------------------------------------ #
 
     def _rebuild(self) -> None:
-        """Full re-snapshot of the reservoir into the mirror."""
-        payloads = self.sampler.payloads()
-        self._rows = len(payloads)
+        """Full re-snapshot of the reservoir into the mirror, copied from
+        the sampler's resident view (storage order, so mirror row ``i`` is
+        storage slot ``i``)."""
+        columns = self.sampler.resident_columns()
+        self._rows = columns.size
         if self._rows == 0:
             self._matrix = None
             self._labels = None
         else:
-            dim = payloads[0].dimensions
+            dim = columns.values.shape[1]
             if (
                 self._matrix is None
                 or self._matrix.shape[1] != dim
@@ -88,11 +93,8 @@ class ReservoirKnnClassifier:
                 cap = max(self.sampler.capacity, self._rows)
                 self._matrix = np.empty((cap, dim))
                 self._labels = np.empty(cap, dtype=np.int64)
-            for i, point in enumerate(payloads):
-                self._matrix[i] = point.values
-                self._labels[i] = (
-                    _UNLABELED if point.label is None else point.label
-                )
+            self._matrix[: self._rows] = columns.values
+            self._labels[: self._rows] = columns.labels
         self._synced_insertions = self.sampler.insertions
         self._synced_ejections = self.sampler.ejections
 

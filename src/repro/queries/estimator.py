@@ -17,15 +17,13 @@ proportionality constant of the inclusion model cancels, which is what
 makes estimation with :class:`~repro.core.variable.VariableReservoir`
 (whose constant is the current ``p_in``) robust.
 
-The reservoir must store :class:`~repro.streams.point.StreamPoint` payloads
-(arrival indices come from the reservoir's own bookkeeping).
-
 Evaluation is columnar: estimates run over the sampler's cached
-struct-of-arrays resident view and the queries' vectorized
-``values_batch`` kernels, so a checkpoint that evaluates many queries
-pays one payload materialization and zero Python-per-resident work. The
-per-point path survives as the generic fallback for custom queries (and
-as the reference the columnar path is tested against, bit for bit).
+struct-of-arrays resident view
+(:meth:`~repro.core.reservoir.ReservoirSampler.resident_columns`) and each
+query's columnar ``h``, so a checkpoint that evaluates many queries pays
+one view and no Python work per resident. The view needs
+:class:`~repro.streams.point.StreamPoint` payloads; a count (``h = None``)
+reads only the arrival indices, so it also runs over other payloads.
 """
 
 from __future__ import annotations
@@ -78,71 +76,33 @@ class QueryEstimator:
     ----------
     sampler:
         Any :class:`~repro.core.reservoir.ReservoirSampler` (or the
-        sharded facade) whose payloads are :class:`StreamPoint` objects.
-    columnar:
-        When ``True`` (the default) estimates run over the sampler's
-        cached struct-of-arrays resident view
-        (:meth:`~repro.core.reservoir.ReservoirSampler.resident_columns`)
-        with the queries' vectorized ``values_batch`` kernels — no
-        Python-per-resident work for the builder queries. ``False`` forces
-        the per-point reference path (one ``query.value`` call per
-        resident); both paths produce bitwise-identical estimates and
-        exist separately so equivalence tests and benchmarks can compare
-        them.
+        sharded facade). Queries that read rows need
+        :class:`StreamPoint` payloads; counts need only arrivals.
     """
 
-    def __init__(self, sampler: ReservoirSampler, columnar: bool = True) -> None:
+    def __init__(self, sampler: ReservoirSampler) -> None:
         self.sampler = sampler
-        self.columnar = bool(columnar)
 
     def _sample_parts(self, query: LinearQuery, t: int):
-        """Common plumbing: per-resident (c, h, p) restricted to support."""
-        if not self.columnar:
-            return self._sample_parts_reference(query, t)
-        try:
+        """Per-resident (c, h, p) restricted to the support ``c != 0``."""
+        if query.h is None:
+            columns = None
+            arrivals = self.sampler.arrival_indices()
+        else:
             columns = self.sampler.resident_columns()
-        except AttributeError:
-            # Non-StreamPoint payloads (e.g. the conformance specs drive
-            # count queries over raw ints). The columnar view cannot
-            # materialize, but value-agnostic queries still evaluate
-            # through the per-point path — and value-touching ones raise
-            # the same AttributeError there, as before.
-            return self._sample_parts_reference(query, t)
-        if columns.size == 0:
-            return None
-        coeffs = query.coefficients(columns.arrivals, t)
+            arrivals = columns.arrivals
+        coeffs = query.coefficients(arrivals, t)
         support = np.flatnonzero(coeffs)
         if support.size == 0:
             return None
-        arrivals = columns.arrivals[support]
-        coeffs = coeffs[support]
+        arrivals = arrivals[support]
         values = query.values_matrix(
-            columns.values[support], columns.labels[support], arrivals
+            None if columns is None else columns.values[support],
+            None if columns is None else columns.labels[support],
+            arrivals,
         )
         probs = self.sampler.inclusion_probabilities(arrivals, t)
-        return coeffs, values, probs
-
-    def _sample_parts_reference(self, query: LinearQuery, t: int):
-        """Per-point reference path: one ``query.value`` call per resident.
-
-        Kept as the generic fallback and the ground truth the columnar
-        path is regression-tested against.
-        """
-        arrivals = self.sampler.arrival_indices()
-        if arrivals.size == 0:
-            return None
-        coeffs = query.coefficients(arrivals, t)
-        support = coeffs != 0.0
-        if not np.any(support):
-            return None
-        arrivals = arrivals[support]
-        coeffs = coeffs[support]
-        payloads = [
-            p for p, keep in zip(self.sampler.payloads(), support) if keep
-        ]
-        values = np.vstack([query.value(point) for point in payloads])
-        probs = self.sampler.inclusion_probabilities(arrivals, t)
-        return coeffs, values, probs
+        return coeffs[support], values, probs
 
     def estimate(
         self,

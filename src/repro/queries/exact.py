@@ -10,13 +10,15 @@ Evaluation is *incremental*: ``observe`` maintains per-dimension prefix
 sums and per-class arrival positions alongside the raw buffers, so the
 ``count`` / ``sum`` / ``class_count`` (and therefore ``average`` /
 ``class_distribution``) truth at any checkpoint costs O(dimensions)
-instead of O(horizon). The figure harness evaluates at dozens of
-checkpoints over hundred-thousand-point streams; without the prefix
-structures the oracle rescans its whole horizon every time and dominates
-the run. ``range_count`` and custom queries retain the vectorized /
-per-point scan fallback (:meth:`StreamHistory.evaluate_scan` keeps that
-path addressable as the reference the incremental answers are tested
-against).
+instead of O(horizon). The prefix answers are keyed on the query's ``h``
+kernel (:mod:`repro.queries.spec`), not on its name, so a custom query
+always gets the sum of its own ``h``. The figure harness evaluates at
+dozens of checkpoints over hundred-thousand-point streams; without the
+prefix structures the oracle rescans its whole horizon every time and
+dominates the run. ``range_count`` and custom queries are answered by
+one columnar pass of their ``h`` over the horizon rows
+(:meth:`StreamHistory.evaluate_scan` keeps that path addressable as the
+reference the incremental answers are tested against).
 
 This is the *evaluation oracle*, not part of the sampling system — it
 deliberately spends the O(t) memory that reservoir sampling exists to
@@ -30,7 +32,7 @@ from typing import Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
-from repro.queries.spec import LinearQuery, RatioQuery
+from repro.queries.spec import LinearQuery, OneHotLabel, RatioQuery, SelectDims
 from repro.streams.point import StreamPoint
 
 __all__ = ["StreamHistory"]
@@ -152,10 +154,10 @@ class StreamHistory:
 
         Linear queries return the raw vector ``G(t)``; ratio queries return
         the normalized vector (``nan`` components when the denominator is
-        zero, i.e. an empty horizon). Builder ``count`` / ``sum`` /
-        ``class_count`` queries are answered from the incremental prefix
-        structures in O(dimensions); everything else falls back to the
-        horizon scan.
+        zero, i.e. an empty horizon). Count, :class:`SelectDims` and
+        :class:`OneHotLabel` queries are answered from the incremental
+        prefix structures in O(dimensions); every other ``h`` is summed
+        over the horizon rows.
         """
         if isinstance(query, RatioQuery):
             num = self.evaluate(query.numerator, t)
@@ -196,21 +198,21 @@ class StreamHistory:
     def _evaluate_incremental(
         self, query: LinearQuery, start: int, stop: int
     ) -> Optional[np.ndarray]:
-        """O(dims) builder-query answers from the prefix structures.
+        """O(dims) answers from the prefix structures.
 
-        Returns ``None`` for queries the incremental structures cannot
-        answer (``range_count``, custom ``value`` functions) — the caller
-        falls back to the scan.
+        Keyed on the query's own kernel, so the answer is always the sum
+        of that ``h``: a count (``h is None``), :class:`SelectDims` and
+        :class:`OneHotLabel`. Returns ``None`` for every other ``h`` (the
+        caller falls back to the scan).
         """
-        name = query.name
-        if name == "count":
+        h = query.h
+        if h is None:
             return np.array([float(stop - start)])
-        if name == "sum" and query.dims is not None:
-            totals = self._prefix[stop] - self._prefix[start]
-            return totals[list(query.dims)]
-        if name == "class_count":
-            counts = np.zeros(query.output_dim)
-            for label in range(query.output_dim):
+        if type(h) is SelectDims:
+            return (self._prefix[stop] - self._prefix[start])[h.dims]
+        if type(h) is OneHotLabel:
+            counts = np.zeros(h.n_classes)
+            for label in range(h.n_classes):
                 positions = self._label_positions.get(label)
                 if positions:
                     counts[label] = bisect_left(positions, stop) - bisect_left(
@@ -222,34 +224,11 @@ class StreamHistory:
     def _evaluate_linear_scan(
         self, query: LinearQuery, start: int, stop: int
     ) -> np.ndarray:
-        """Vectorized fast paths for the builder queries, generic fallback."""
-        rows = self._values[start:stop]
-        name = query.name
-        if name == "count":
+        """Sum of the query's own ``h`` over rows ``[start, stop)``."""
+        if query.h is None:
             return np.array([float(stop - start)])
-        if name == "sum" and query.dims is not None:
-            return (
-                rows[:, list(query.dims)].sum(axis=0).astype(np.float64)
-            )
-        if name == "range_count" and query.dims is not None:
-            sub = rows[:, list(query.dims)]
-            low = np.asarray(query.low)
-            high = np.asarray(query.high)
-            inside = np.all((sub >= low) & (sub <= high), axis=1)
-            return np.array([float(inside.sum())])
-        if name == "class_count":
-            labels = self._labels[start:stop]
-            counts = np.bincount(
-                labels[labels >= 0], minlength=query.output_dim
-            ).astype(np.float64)
-            return counts[: query.output_dim]
-        # Generic fallback: apply h row by row.
-        total = np.zeros(query.output_dim)
-        for i in range(start, stop):
-            point = StreamPoint(
-                i + 1,
-                self._values[i].astype(np.float64),
-                None if self._labels[i] < 0 else int(self._labels[i]),
-            )
-            total += query.value(point)
-        return total
+        rows = query.h(
+            self._values[start:stop].astype(np.float64, copy=False),
+            self._labels[start:stop],
+        )
+        return np.asarray(rows, dtype=np.float64).sum(axis=0)

@@ -98,14 +98,7 @@ class GroupByEstimator:
         else:
             numerator, denominator = query, None
 
-        if self.key is label_key:
-            groups, total_weight = self._accumulate_by_label(
-                numerator, denominator, t
-            )
-        else:
-            groups, total_weight = self._accumulate_generic(
-                numerator, denominator, t
-            )
+        groups, total_weight = self._accumulate(numerator, denominator, t)
         if groups is None:
             return {}
 
@@ -133,18 +126,20 @@ class GroupByEstimator:
             )
         return out
 
-    def _accumulate_by_label(
+    def _accumulate(
         self,
         numerator: LinearQuery,
         denominator: Optional[LinearQuery],
         t: int,
     ):
-        """Vectorized accumulation for the default label grouping.
+        """Per-group HT totals in one pass over the columnar resident view.
 
-        One pass over the columnar resident view: per-resident HT weights
-        and query values come from the vectorized kernels, and per-group
-        totals are masked reductions over the label column. Group keys
-        match the generic path (``-1`` decodes back to ``None``).
+        Per-resident HT weights and query values come from the queries'
+        columnar ``h``; per-group totals are masked reductions. The
+        default key groups by the label column (``-1`` decodes back to
+        ``None``, groups in ascending label order); a custom key is
+        applied to each supported resident's payload only to pick its
+        group (groups in order of first appearance).
         """
         columns = self.sampler.resident_columns()
         if columns.size == 0:
@@ -154,29 +149,36 @@ class GroupByEstimator:
         if support.size == 0:
             return {}, 0.0
         arrivals = columns.arrivals[support]
+        values = columns.values[support]
+        labels = columns.labels[support]
         probs = self.sampler.inclusion_probabilities(arrivals, t)
         weights = coeffs[support] / probs
         num_rows = (
-            numerator.values_matrix(
-                columns.values[support], columns.labels[support], arrivals
-            )
+            numerator.values_matrix(values, labels, arrivals)
             * weights[:, None]
         )
         den_rows = None
         if denominator is not None:
             den_rows = (
-                denominator.values_matrix(
-                    columns.values[support],
-                    columns.labels[support],
-                    arrivals,
-                )[:, 0]
+                denominator.values_matrix(values, labels, arrivals)[:, 0]
                 * weights
             )
-        labels = columns.labels[support]
+        if self.key is label_key:
+            uniques, codes = np.unique(labels, return_inverse=True)
+            keys = [None if lab < 0 else int(lab) for lab in uniques]
+        else:
+            payloads = self.sampler.payloads()
+            index: Dict[Hashable, int] = {}
+            codes = np.array(
+                [
+                    index.setdefault(self.key(payloads[i]), len(index))
+                    for i in support
+                ]
+            )
+            keys = list(index)
         groups: Dict[Hashable, Dict[str, Any]] = {}
-        for lab in np.unique(labels):
-            mask = labels == lab
-            key = None if lab < 0 else int(lab)
+        for code, key in enumerate(keys):
+            mask = codes == code
             groups[key] = {
                 "num": num_rows[mask].sum(axis=0),
                 "den": float(den_rows[mask].sum())
@@ -186,45 +188,3 @@ class GroupByEstimator:
                 "weight": float(weights[mask].sum()),
             }
         return groups, float(weights.sum())
-
-    def _accumulate_generic(
-        self,
-        numerator: LinearQuery,
-        denominator: Optional[LinearQuery],
-        t: int,
-    ):
-        """Per-point accumulation for arbitrary key functions.
-
-        Custom keys need the payload objects, so this is the one estimator
-        path that still walks residents in Python.
-        """
-        arrivals = self.sampler.arrival_indices()
-        if arrivals.size == 0:
-            return None, 0.0
-        coeffs = numerator.coefficients(arrivals, t)
-        probs = self.sampler.inclusion_probabilities(arrivals, t)
-        payloads = self.sampler.payloads()
-        groups: Dict[Hashable, Dict[str, Any]] = {}
-        total_weight = 0.0
-        for point, c, p in zip(payloads, coeffs, probs):
-            if c == 0.0:
-                continue
-            weight = c / p
-            total_weight += weight
-            bucket = groups.setdefault(
-                self.key(point),
-                {"num": None, "den": 0.0, "support": 0, "weight": 0.0},
-            )
-            value = numerator.value(point)
-            contribution = weight * value
-            if bucket["num"] is None:
-                bucket["num"] = contribution.astype(np.float64)
-            else:
-                bucket["num"] += contribution
-            if denominator is not None:
-                bucket["den"] += weight * float(
-                    denominator.value(point)[0]
-                )
-            bucket["support"] += 1
-            bucket["weight"] += weight
-        return groups, total_weight

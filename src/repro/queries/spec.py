@@ -9,6 +9,14 @@ per-point coefficient — typically the indicator of a *user-defined horizon*
 (``c_r = 1`` iff ``t - r < h``). Count, sum, range-selectivity, and
 class-distribution queries are all instances.
 
+A query carries one ``h``, and it is columnar: it maps the residents'
+value and label columns to one row of ``h`` per resident, so estimators
+and the exact oracle evaluate it with numpy over whole columns. The
+builders' kernels are small classes (:class:`SelectDims`,
+:class:`InRange`, :class:`OneHotLabel`; a count has ``h = None``), and
+:class:`~repro.queries.exact.StreamHistory` keys its O(dims) prefix
+answers on the kernel's type, never on the query's name.
+
 The experiments actually report *normalized* quantities (averages and
 fractions), which are ratios of two linear queries; :class:`RatioQuery`
 captures that so the estimator can apply self-normalized (Hájek) weighting,
@@ -17,12 +25,10 @@ which is what keeps fraction estimates inside ``[0, 1]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-
-from repro.streams.point import StreamPoint
 
 __all__ = [
     "LinearQuery",
@@ -34,7 +40,16 @@ __all__ = [
     "range_selectivity_query",
     "class_count_query",
     "class_distribution_query",
+    "SelectDims",
+    "InRange",
+    "OneHotLabel",
 ]
+
+
+#: The columnar ``h``: resident columns ``(values (k, d) float64, labels
+#: (k,) int64, -1 = unlabeled)`` to the ``(k, output_dim)`` matrix of
+#: ``h(X_r)``, one row per resident.
+ColumnarH = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -44,40 +59,26 @@ class LinearQuery:
     Attributes
     ----------
     name:
-        Human-readable identifier (shows up in experiment output).
-    value:
-        The ``h`` function: maps a :class:`StreamPoint` to a float vector of
-        fixed length :attr:`output_dim`. Scalar queries use length-1 vectors.
+        Human-readable identifier (shows up in experiment output). Engines
+        never read it: a query is what its :attr:`h` computes.
+    h:
+        The columnar ``h`` (see :data:`ColumnarH`): maps resident columns
+        ``(values, labels)`` to the ``(k, output_dim)`` matrix whose row
+        ``i`` is ``h`` of resident ``i``. ``None`` means ``h = 1`` (a
+        count), which reads no resident row, so count queries evaluate
+        from the arrival indices alone over any payload type.
+    output_dim:
+        Number of columns ``h`` returns. Scalar queries use 1.
     horizon:
         When set, restricts the query to the most recent ``horizon``
         arrivals: ``c(r, t) = 1`` iff ``t - r < horizon``. ``None`` means
         the whole stream (``c = 1``).
-    output_dim:
-        Length of the vector returned by ``value``.
-    dims, low, high:
-        Optional structural metadata set by the builder functions
-        (:func:`sum_query`, :func:`range_count_query`). Engines use it for
-        vectorized fast paths; ``value`` remains the semantic definition,
-        so custom queries may leave these ``None``.
-    values_batch:
-        Optional vectorized ``h``: maps resident columns
-        ``(values (k, d), labels (k,))`` to the ``(k, output_dim)`` matrix
-        whose row ``i`` equals ``value(point_i)`` bit for bit. Every
-        builder query sets one; custom queries may leave it ``None`` and
-        engines fall back to the per-point ``value`` path
-        (:meth:`values_matrix`).
     """
 
     name: str
-    value: Callable[[StreamPoint], np.ndarray]
+    h: Optional[ColumnarH]
     output_dim: int
     horizon: Optional[int] = None
-    dims: Optional[tuple] = None
-    low: Optional[tuple] = None
-    high: Optional[tuple] = None
-    values_batch: Optional[
-        Callable[[np.ndarray, np.ndarray], np.ndarray]
-    ] = None
 
     def __post_init__(self) -> None:
         if self.output_dim < 1:
@@ -85,16 +86,9 @@ class LinearQuery:
         if self.horizon is not None and self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
 
-    def coefficient(self, r: int, t: int) -> float:
-        """``c(r, t)``: the horizon indicator (or 1 for whole-stream)."""
-        if not 1 <= r <= t:
-            raise ValueError(f"require 1 <= r <= t, got r={r}, t={t}")
-        if self.horizon is None:
-            return 1.0
-        return 1.0 if t - r < self.horizon else 0.0
-
     def coefficients(self, r: np.ndarray, t: int) -> np.ndarray:
-        """Vectorized :meth:`coefficient`."""
+        """``c(r, t)`` per arrival: the horizon indicator (or 1 for the
+        whole stream)."""
         r = np.asarray(r, dtype=np.int64)
         if self.horizon is None:
             return np.ones(r.shape)
@@ -102,52 +96,28 @@ class LinearQuery:
 
     def values_matrix(
         self,
-        values: np.ndarray,
-        labels: np.ndarray,
+        values: Optional[np.ndarray],
+        labels: Optional[np.ndarray],
         arrivals: np.ndarray,
     ) -> np.ndarray:
-        """The ``(k, output_dim)`` matrix of ``h(X_r)`` over resident columns.
+        """The ``(k, output_dim)`` matrix of ``h(X_r)`` over resident rows.
 
-        Dispatches to the vectorized :attr:`values_batch` kernel when the
-        query carries one; otherwise reconstructs each row through the
-        per-point :attr:`value` fallback (labels ``-1`` decode to
-        ``None``). Both paths produce bitwise-identical matrices for the
-        builder queries — the kernels select and compare the exact same
-        float64 elements the per-point path does. Kernel output is
-        normalized to C order: column fancy-indexing (``values[:, dims]``)
-        yields F-ordered arrays, and downstream BLAS reductions associate
-        differently over those, which would break the bitwise guarantee
-        one step later.
+        ``arrivals`` gives the row count ``k``; a count query (``h`` is
+        ``None``) reads nothing else and gets a ones column, so callers
+        may pass ``None`` columns for it. Output is normalized to C
+        order: column fancy-indexing (``values[:, dims]``) yields
+        F-ordered arrays, and BLAS reductions associate differently over
+        those, so estimates would depend on a kernel's memory layout.
         """
-        if self.values_batch is not None:
-            return np.ascontiguousarray(
-                np.asarray(self.values_batch(values, labels), dtype=np.float64)
-            )
-        if arrivals.shape[0] == 0:
-            return np.zeros((0, self.output_dim))
-        return np.vstack(
-            [
-                self.value(
-                    StreamPoint(
-                        int(r), v, None if lab < 0 else int(lab)
-                    )
-                )
-                for r, v, lab in zip(arrivals, values, labels)
-            ]
+        if self.h is None:
+            return np.ones((arrivals.shape[0], 1))
+        return np.ascontiguousarray(
+            np.asarray(self.h(values, labels), dtype=np.float64)
         )
 
     def with_horizon(self, horizon: Optional[int]) -> "LinearQuery":
         """Copy of this query with a different horizon."""
-        return LinearQuery(
-            self.name,
-            self.value,
-            self.output_dim,
-            horizon,
-            self.dims,
-            self.low,
-            self.high,
-            self.values_batch,
-        )
+        return replace(self, horizon=horizon)
 
 
 @dataclass(frozen=True)
@@ -187,16 +157,49 @@ class RatioQuery:
 # --------------------------------------------------------------------- #
 
 
+@dataclass(frozen=True, eq=False)
+class SelectDims:
+    """``h(X) = X[dims]``, the kernel of :func:`sum_query`."""
+
+    dims: list
+
+    def __call__(self, values: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        return values[:, self.dims]
+
+
+@dataclass(frozen=True, eq=False)
+class InRange:
+    """``h(X) = 1`` iff ``low <= X[dims] <= high`` elementwise, else 0:
+    the kernel of :func:`range_count_query`."""
+
+    dims: list
+    low: np.ndarray
+    high: np.ndarray
+
+    def __call__(self, values: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        sub = values[:, self.dims]
+        inside = np.all((sub >= self.low) & (sub <= self.high), axis=1)
+        return inside.astype(np.float64)[:, None]
+
+
+@dataclass(frozen=True, eq=False)
+class OneHotLabel:
+    """``h(X) = onehot(label)`` over ``n_classes`` classes (all zeros for
+    an unlabeled or out-of-range label): the kernel of
+    :func:`class_count_query`."""
+
+    n_classes: int
+
+    def __call__(self, values: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        out = np.zeros((labels.shape[0], self.n_classes))
+        rows = np.flatnonzero((labels >= 0) & (labels < self.n_classes))
+        out[rows, labels[rows]] = 1.0
+        return out
+
+
 def count_query(horizon: Optional[int] = None) -> LinearQuery:
     """COUNT over the horizon: ``h(X) = 1``."""
-
-    def one(_: StreamPoint) -> np.ndarray:
-        return np.ones(1)
-
-    def ones_batch(values: np.ndarray, _: np.ndarray) -> np.ndarray:
-        return np.ones((values.shape[0], 1))
-
-    return LinearQuery("count", one, 1, horizon, values_batch=ones_batch)
+    return LinearQuery("count", None, 1, horizon)
 
 
 def sum_query(horizon: Optional[int], dims: Sequence[int]) -> LinearQuery:
@@ -208,21 +211,7 @@ def sum_query(horizon: Optional[int], dims: Sequence[int]) -> LinearQuery:
     dims = list(dims)
     if not dims:
         raise ValueError("dims must be non-empty")
-
-    def select(point: StreamPoint) -> np.ndarray:
-        return point.values[dims]
-
-    def select_batch(values: np.ndarray, _: np.ndarray) -> np.ndarray:
-        return values[:, dims]
-
-    return LinearQuery(
-        "sum",
-        select,
-        len(dims),
-        horizon,
-        dims=tuple(dims),
-        values_batch=select_batch,
-    )
+    return LinearQuery("sum", SelectDims(dims), len(dims), horizon)
 
 
 def average_query(horizon: Optional[int], dims: Sequence[int]) -> RatioQuery:
@@ -248,26 +237,8 @@ def range_count_query(
         raise ValueError("low/high must match the number of dims")
     if np.any(low_arr > high_arr):
         raise ValueError("low must be <= high elementwise")
-
-    def in_range(point: StreamPoint) -> np.ndarray:
-        v = point.values[dims]
-        inside = np.all((v >= low_arr) & (v <= high_arr))
-        return np.array([1.0 if inside else 0.0])
-
-    def in_range_batch(values: np.ndarray, _: np.ndarray) -> np.ndarray:
-        sub = values[:, dims]
-        inside = np.all((sub >= low_arr) & (sub <= high_arr), axis=1)
-        return inside.astype(np.float64)[:, None]
-
     return LinearQuery(
-        "range_count",
-        in_range,
-        1,
-        horizon,
-        dims=tuple(dims),
-        low=tuple(low_arr.tolist()),
-        high=tuple(high_arr.tolist()),
-        values_batch=in_range_batch,
+        "range_count", InRange(dims, low_arr, high_arr), 1, horizon
     )
 
 
@@ -290,21 +261,8 @@ def class_count_query(horizon: Optional[int], n_classes: int) -> LinearQuery:
     n_classes = int(n_classes)
     if n_classes < 1:
         raise ValueError(f"n_classes must be >= 1, got {n_classes}")
-
-    def onehot(point: StreamPoint) -> np.ndarray:
-        out = np.zeros(n_classes)
-        if point.label is not None and 0 <= point.label < n_classes:
-            out[point.label] = 1.0
-        return out
-
-    def onehot_batch(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        out = np.zeros((values.shape[0], n_classes))
-        rows = np.flatnonzero((labels >= 0) & (labels < n_classes))
-        out[rows, labels[rows]] = 1.0
-        return out
-
     return LinearQuery(
-        "class_count", onehot, n_classes, horizon, values_batch=onehot_batch
+        "class_count", OneHotLabel(n_classes), n_classes, horizon
     )
 
 

@@ -328,9 +328,11 @@ class ShardedReservoir:
         return [e.payload for e in self.entries()]
 
     def arrival_indices(self) -> np.ndarray:
-        """Global arrival indices across all shards."""
-        return np.asarray(
-            [e.arrival for e in self.entries()], dtype=np.int64
+        """Global arrival indices across all shards (worker-major order,
+        the order of :meth:`resident_columns`)."""
+        self.flush()
+        return np.concatenate(
+            [w.sampler.global_arrivals() for w in self._workers]
         )
 
     def ages(self) -> np.ndarray:

@@ -1,10 +1,10 @@
-"""Columnar query engine: equivalence with the per-point reference path.
+"""Columnar query engine: equivalence with the per-point oracle.
 
 The engine's contract is strict: the cached struct-of-arrays resident
-view plus the vectorized ``values_batch`` kernels must reproduce the
-per-point path *bit for bit* — every builder query, every sampler
-family. These tests pin that contract, plus the cache's invalidation
-behaviour and the support-index regression paths.
+view plus each query's columnar ``h`` must reproduce the per-point
+estimator in ``tests/query_oracle.py`` *bit for bit* — every builder
+query, every sampler family. These tests pin that contract, plus the
+cache's invalidation behaviour and the support-index regression paths.
 """
 
 import numpy as np
@@ -27,6 +27,7 @@ from repro.queries import (
 )
 from repro.queries.spec import (
     LinearQuery,
+    RatioQuery,
     average_query,
     class_count_query,
     class_distribution_query,
@@ -38,6 +39,7 @@ from repro.queries.spec import (
 from repro.shard import ShardedReservoir
 from repro.streams.point import StreamPoint
 from tests.conftest import make_points
+from tests.query_oracle import oracle_estimate, oracle_groupby
 
 DIMS = 4
 N_CLASSES = 3
@@ -90,7 +92,7 @@ class TestEveryQueryEverySampler:
             sampler.offer(point)
         query = QUERY_BUILDERS[query_name](horizon)
         columnar = QueryEstimator(sampler).estimate(query)
-        reference = QueryEstimator(sampler, columnar=False).estimate(query)
+        reference = oracle_estimate(sampler, query)
         assert columnar.sample_support == reference.sample_support
         np.testing.assert_array_equal(columnar.estimate, reference.estimate)
         if columnar.variance is None:
@@ -246,24 +248,102 @@ class TestSupportIndexing:
 
 class TestCustomQueryFallback:
     def test_custom_query_without_kernel_matches_reference(self):
-        """A query with no values_batch runs per-point inside the columnar
-        engine and still matches the reference path bitwise."""
+        """A custom columnar ``h`` (no builder kernel) matches the same
+        ``h`` applied point by point, bitwise."""
 
         def squared_first(point: StreamPoint) -> np.ndarray:
             return np.array([point.values[0] ** 2])
 
-        query = LinearQuery("squared", squared_first, 1, horizon=80)
+        query = LinearQuery(
+            "squared", lambda values, labels: values[:, :1] ** 2, 1, 80
+        )
         res = ExponentialReservoir(capacity=30, rng=3)
         for point in make_stream(300, seed=13):
             res.offer(point)
         columnar = QueryEstimator(res).estimate(query)
-        reference = QueryEstimator(res, columnar=False).estimate(query)
+        reference = oracle_estimate(res, query, value=squared_first)
         np.testing.assert_array_equal(columnar.estimate, reference.estimate)
         np.testing.assert_array_equal(columnar.variance, reference.variance)
+
+    @pytest.mark.parametrize("family", sorted(SAMPLER_FACTORIES))
+    def test_count_reads_arrivals_over_any_payload(self, family):
+        """A count reads no resident row: over int payloads it equals the
+        per-point oracle, while a row-reading query still raises the
+        view's AttributeError."""
+        sampler = SAMPLER_FACTORIES[family]()
+        sampler.offer_many(range(1, 601))
+        for horizon in (None, 120):
+            query = count_query(horizon)
+            got = QueryEstimator(sampler).estimate(query)
+            want = oracle_estimate(sampler, query)
+            np.testing.assert_array_equal(got.estimate, want.estimate)
+            np.testing.assert_array_equal(got.variance, want.variance)
+            assert got.sample_support == want.sample_support
+        with pytest.raises(AttributeError):
+            QueryEstimator(sampler).estimate(sum_query(None, [0]))
+
+
+class TestArrivalOrder:
+    @pytest.mark.parametrize("family", sorted(SAMPLER_FACTORIES))
+    def test_arrival_indices_follow_the_view(self, family):
+        """Counts read ``arrival_indices()`` and row-reading queries the
+        view's arrivals; a ratio's Hajek sums match the parent's only if
+        both list the residents in one order."""
+        sampler = SAMPLER_FACTORIES[family]()
+        points = make_stream(600, seed=21)
+        sampler.offer_many(points[:350])
+        for point in points[350:]:
+            sampler.offer(point)
+        np.testing.assert_array_equal(
+            sampler.arrival_indices(), sampler.resident_columns().arrivals
+        )
+
+    def test_sharded_arrivals_with_pending_buffers(self):
+        """Per-item offers sit in worker buffers until a read flushes
+        them; both readers flush first and list workers in one order."""
+        sharded = ShardedReservoir(capacity=40, workers=4, rng=2)
+        points = make_stream(300, seed=22)
+        sharded.offer_many(points[:200])
+        for point in points[200:]:
+            sharded.offer(point)
+        arrivals = sharded.arrival_indices()
+        np.testing.assert_array_equal(
+            arrivals, sharded.resident_columns().arrivals
+        )
+        np.testing.assert_array_equal(
+            arrivals, [e.arrival for e in sharded.entries()]
+        )
 
 
 class TestDownstreamConsumers:
     """GroupBy and histogram estimators ride the same columnar view."""
+
+    @pytest.mark.parametrize(
+        "query",
+        [average_query(150, range(DIMS)), class_count_query(None, N_CLASSES)],
+    )
+    def test_custom_key_matches_per_point_groupby(self, query):
+        """A custom key picks each row's group; totals agree with the
+        per-point accumulator, groups in order of first appearance."""
+        res = ExponentialReservoir(capacity=40, rng=4)
+        for point in make_stream(400, seed=16):
+            res.offer(point)
+
+        def key(point):
+            return bool(point.values[0] > 0)
+
+        got = GroupByEstimator(res, key=key).estimate(query)
+        groups, total = oracle_groupby(res, query, key)
+        assert list(got) == list(groups)
+        for name, bucket in groups.items():
+            want = bucket["num"]
+            if isinstance(query, RatioQuery):
+                want = want / bucket["den"]
+            np.testing.assert_allclose(got[name].estimate, want, rtol=1e-12)
+            assert got[name].support == bucket["support"]
+            assert got[name].weight_share == pytest.approx(
+                bucket["weight"] / total, rel=1e-12
+            )
 
     def test_groupby_label_path_matches_generic(self):
         res = ExponentialReservoir(capacity=40, rng=4)

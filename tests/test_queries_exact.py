@@ -111,10 +111,10 @@ class TestExactEvaluation:
         assert history.evaluate(q)[0] == 2.0  # points 3 and 4
 
     def test_generic_fallback_matches_fast_path(self, history):
-        """A custom query with no metadata goes through the row loop."""
+        """A custom ``h`` is summed over the horizon rows."""
 
-        def squared_first(point):
-            return np.array([point.values[0] ** 2])
+        def squared_first(values, labels):
+            return values[:, :1] ** 2
 
         q = LinearQuery("custom", squared_first, 1, horizon=None)
         assert history.evaluate(q)[0] == pytest.approx(1 + 4 + 9 + 16 + 25)
@@ -133,6 +133,35 @@ class TestExactEvaluation:
         for p in make_points([[1.5], [2.5]]):
             h.observe(p)
         assert h.evaluate(sum_query(None, [0]))[0] == pytest.approx(4.0)
+
+
+class TestCustomQueriesByKernel:
+    """The prefix answers follow the query's ``h``, never its name."""
+
+    @pytest.fixture
+    def twos(self):
+        h = StreamHistory(dimensions=2)
+        h.observe_all(make_points([[2.0, 1.0]] * 10, [1] * 10))
+        return h
+
+    def test_custom_h_named_count_is_summed(self, twos):
+        q = LinearQuery("count", lambda values, labels: values[:, :1] ** 2, 1)
+        assert twos.evaluate(q)[0] == 40.0
+        assert twos.evaluate_scan(q)[0] == 40.0
+
+    def test_custom_h_named_class_count_is_summed(self, twos):
+        q = LinearQuery(
+            "class_count", lambda values, labels: values[:, ::-1], 2
+        )
+        np.testing.assert_array_equal(twos.evaluate(q), [10.0, 20.0])
+        np.testing.assert_array_equal(twos.evaluate_scan(q), [10.0, 20.0])
+
+    def test_builder_kernel_under_any_name_uses_prefix(self, twos):
+        """A renamed builder query is still a sum of its kernel."""
+        q = LinearQuery("total", sum_query(None, [1]).h, 1)
+        assert twos.evaluate(q)[0] == 10.0
+        q = LinearQuery("labels", class_count_query(None, 2).h, 2)
+        np.testing.assert_array_equal(twos.evaluate(q), [0.0, 10.0])
 
 
 class TestAgainstNumpy:

@@ -14,40 +14,42 @@ from repro.queries.spec import (
     range_selectivity_query,
     sum_query,
 )
-from repro.streams.point import StreamPoint
 
 
-def pt(values, label=None, index=1):
-    return StreamPoint(index, np.asarray(values, dtype=float), label)
+def row(query, values, label=None):
+    """``h`` of one point: a one-row ``values_matrix`` call."""
+    return query.values_matrix(
+        np.asarray([values], dtype=float),
+        np.array([-1 if label is None else label]),
+        np.array([1]),
+    )[0]
 
 
 class TestLinearQuery:
     def test_horizon_coefficient(self):
         q = count_query(horizon=10)
-        assert q.coefficient(95, 100) == 1.0  # age 5 < 10
-        assert q.coefficient(91, 100) == 1.0  # age 9 < 10
-        assert q.coefficient(90, 100) == 0.0  # age 10 not < 10
+        # ages 5 and 9 are < 10; age 10 is not
+        np.testing.assert_array_equal(
+            q.coefficients([95, 91, 90], 100), [1.0, 1.0, 0.0]
+        )
 
     def test_whole_stream_coefficient(self):
         q = count_query()
-        assert q.coefficient(1, 10_000) == 1.0
+        np.testing.assert_array_equal(q.coefficients([1], 10_000), [1.0])
 
     def test_coefficients_vectorized_matches_scalar(self):
         q = count_query(horizon=50)
         r = np.arange(1, 101)
         vec = q.coefficients(r, 100)
-        scal = [q.coefficient(int(x), 100) for x in r]
+        scal = [1.0 if 100 - x < 50 else 0.0 for x in range(1, 101)]
         np.testing.assert_array_equal(vec, scal)
-
-    def test_coefficient_bad_r(self):
-        with pytest.raises(ValueError):
-            count_query().coefficient(0, 10)
 
     def test_with_horizon_copies(self):
         q = sum_query(None, [0, 1])
         q2 = q.with_horizon(100)
         assert q2.horizon == 100
-        assert q2.dims == q.dims
+        assert q2.h is q.h
+        assert q2.name == q.name and q2.output_dim == q.output_dim
         assert q.horizon is None
 
     def test_invalid_horizon(self):
@@ -61,15 +63,15 @@ class TestLinearQuery:
 
 class TestBuilders:
     def test_count_value(self):
-        assert count_query().value(pt([1.0, 2.0]))[0] == 1.0
+        q = count_query()
+        assert q.h is None
+        assert row(q, [1.0, 2.0])[0] == 1.0
 
     def test_sum_selects_dims(self):
         q = sum_query(None, [1, 2])
-        np.testing.assert_array_equal(
-            q.value(pt([5.0, 6.0, 7.0])), [6.0, 7.0]
-        )
+        np.testing.assert_array_equal(row(q, [5.0, 6.0, 7.0]), [6.0, 7.0])
         assert q.output_dim == 2
-        assert q.dims == (1, 2)
+        assert q.h.dims == [1, 2]
 
     def test_sum_empty_dims_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -82,16 +84,16 @@ class TestBuilders:
 
     def test_range_count_inside(self):
         q = range_count_query(None, [0, 1], [0.0, 0.0], [1.0, 1.0])
-        assert q.value(pt([0.5, 0.5, 9.0]))[0] == 1.0
+        assert row(q, [0.5, 0.5, 9.0])[0] == 1.0
 
     def test_range_count_outside(self):
         q = range_count_query(None, [0, 1], [0.0, 0.0], [1.0, 1.0])
-        assert q.value(pt([0.5, 1.5]))[0] == 0.0
+        assert row(q, [0.5, 1.5])[0] == 0.0
 
     def test_range_count_boundary_inclusive(self):
         q = range_count_query(None, [0], [0.0], [1.0])
-        assert q.value(pt([1.0]))[0] == 1.0
-        assert q.value(pt([0.0]))[0] == 1.0
+        assert row(q, [1.0])[0] == 1.0
+        assert row(q, [0.0])[0] == 1.0
 
     def test_range_count_validation(self):
         with pytest.raises(ValueError, match="low/high"):
@@ -106,17 +108,15 @@ class TestBuilders:
 
     def test_class_count_onehot(self):
         q = class_count_query(None, 4)
-        np.testing.assert_array_equal(
-            q.value(pt([0.0], label=2)), [0, 0, 1, 0]
-        )
+        np.testing.assert_array_equal(row(q, [0.0], label=2), [0, 0, 1, 0])
 
     def test_class_count_unlabeled_zero(self):
         q = class_count_query(None, 3)
-        np.testing.assert_array_equal(q.value(pt([0.0])), [0, 0, 0])
+        np.testing.assert_array_equal(row(q, [0.0]), [0, 0, 0])
 
     def test_class_count_out_of_range_label_zero(self):
         q = class_count_query(None, 2)
-        np.testing.assert_array_equal(q.value(pt([0.0], label=7)), [0, 0])
+        np.testing.assert_array_equal(row(q, [0.0], label=7), [0, 0])
 
     def test_class_count_validation(self):
         with pytest.raises(ValueError, match="n_classes"):

@@ -1,11 +1,13 @@
 """Tests for variable reservoir sampling (Theorem 3.3 scheme)."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.core.space_constrained import SpaceConstrainedReservoir
+from repro.core.reservoir import from_state_dict
 from repro.core.variable import VariableReservoir
 
 
@@ -146,6 +148,21 @@ class TestDistribution:
         res = VariableReservoir(lam=1e-4, capacity=500)
         with pytest.raises(ValueError, match="t must be >= 0"):
             res.p_in_at(-1)
+
+    def test_restored_phase_history_and_rng_match_original(self):
+        """A snapshot taken mid-startup restores the whole phase schedule
+        (``p_in_at`` at every position) and the random stream."""
+        res = VariableReservoir(lam=2e-3, capacity=100, rng=12)
+        res.offer_many(range(3_000))
+        restored = from_state_dict(pickle.loads(pickle.dumps(res.state_dict())))
+        assert len(res.phase_history) > 50
+        assert restored.phase_history == res.phase_history
+        for t in range(res.t + 2):
+            assert restored.p_in_at(t) == res.p_in_at(t)
+        for payload in range(3_000, 4_000):
+            assert restored.offer(payload) == res.offer(payload)
+        assert restored.phase_history == res.phase_history
+        assert restored.rng.random() == res.rng.random()
 
     def test_survival_is_per_arrival_lambda_in_every_phase(self):
         """The hazard is lambda before the target too, not p_in / n."""
