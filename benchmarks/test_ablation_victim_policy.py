@@ -24,10 +24,10 @@ class EjectWhenFullReservoir(ReservoirSampler):
     def offer(self, payload: Any) -> bool:
         self.t += 1
         self.offers += 1
+        slot = self.size
         if self.is_full:
-            self._replace_random(payload)
-        else:
-            self._append(payload)
+            slot = int(self.rng.integers(slot))
+        self._insert(slot, payload)
         return True
 
     def inclusion_probability(self, r, t=None):  # pragma: no cover

@@ -21,71 +21,26 @@ application's ``lambda``, not the other way around.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Optional
 
 import numpy as np
 
 from repro.core.bias import ExponentialBias
-from repro.core.columns import (
-    ResidentColumns,
-    build_resident_columns,
-    frozen_columns,
-)
-from repro.core.reservoir import (
-    _SAMPLER_CLASSES,
-    ReservoirSampler,
-    SampleEntry,
-)
-from repro.streams.point import PointBlock
+from repro.core.reservoir import _SAMPLER_CLASSES, ReservoirSampler
 from repro.utils.rng import RngLike
 
 __all__ = ["ExponentialReservoir"]
 
 
-_NO_PAYLOADS = np.empty(0, dtype=object)
-_NO_INDICES = np.empty(0, dtype=np.int64)
-
-
-def _object_array(block: Sequence[Any]) -> np.ndarray:
-    """1-D object array of ``block`` (safe for tuple payloads).
-
-    ``fromiter`` stores each item as it is, without probing it for
-    sequence structure the way slice assignment does.
-    """
-    return np.fromiter(block, dtype=object, count=len(block))
-
-
-def _as_payloads(block: Sequence[Any]) -> Any:
-    """A block as the store writes it: a :class:`PointBlock` or a 1-D
-    object array is used as it is, anything else becomes an object array."""
-    if isinstance(block, (np.ndarray, PointBlock)):
-        return block
-    return _object_array(block)
-
-
 class ExponentialReservoir(ReservoirSampler):
     """Biased reservoir sampler implementing Algorithm 2.1.
 
-    Residents live in arrays of length ``capacity``: local arrival
-    indices and *global* arrival indices (int64), an object column, and,
-    for :class:`~repro.streams.point.StreamPoint` residents, point
-    columns: feature values ``(capacity, d)`` float64, labels, a
-    ``None``-label mask and point indices. The global axis is the
-    whole-stream position of each resident when the reservoir is one
-    shard of a partitioned stream (:meth:`ingest`, :mod:`repro.shard`);
-    for a stand-alone reservoir it equals the local arrival index.
-
-    The point columns are allocated by the first
-    :class:`~repro.streams.point.PointBlock` offered, the first
-    :meth:`resident_columns` call, or the restore of a columnar
-    snapshot, provided every resident is a point a block can hold
-    (:meth:`PointBlock.from_points
-    <repro.streams.point.PointBlock.from_points>`). From then on every
-    insert writes them. Rows that arrived in a block live in the columns
-    alone (their object cell is ``None``) and :meth:`payloads` boxes them
-    on demand; an object offered as an object also keeps its object
-    cell. An insert the columns cannot hold (another payload type or
-    dimensionality) boxes the column-only rows and drops the columns.
+    Residents live in the array store of
+    :class:`~repro.core.reservoir.ReservoirSampler`; this class adds the
+    policy: the per-item step, the block kernel (:meth:`_scatter`) and
+    :meth:`ingest`, which takes explicit global arrival indices for a
+    reservoir that is one shard of a partitioned stream
+    (:mod:`repro.shard`).
 
     Parameters
     ----------
@@ -113,9 +68,6 @@ class ExponentialReservoir(ReservoirSampler):
 
     exponential_design = True
 
-    #: `offer_many` hands point blocks to the store whole.
-    _block_types = (list, tuple, PointBlock)
-
     #: Insertion probability of Algorithm 3.1; Algorithm 2.1 inserts every
     #: arrival, and multiplying by 1.0 leaves its model floats unchanged.
     p_in = 1.0
@@ -135,144 +87,6 @@ class ExponentialReservoir(ReservoirSampler):
         self.lam = 1.0 / self.capacity
         self.requested_lam = float(lam) if lam is not None else self.lam
         self.bias = ExponentialBias(self.lam)
-        # The resident arrays are allocated on the first insert, so that
-        # building a reservoir costs no O(n) object-array fill.
-        self._pay = _NO_PAYLOADS
-        self._arr = self._glob = _NO_INDICES
-        self._size = 0
-        # Point columns (class docstring); `_idx`, `_labs` and `_none`
-        # exist whenever `_vals` is not None.
-        self._vals: Optional[np.ndarray] = None
-
-    def _allocate(self) -> None:
-        """Allocate empty resident arrays of length ``capacity``."""
-        n = self.capacity
-        self._pay = np.empty(n, dtype=object)
-        self._arr = np.empty(n, dtype=np.int64)
-        self._glob = np.empty(n, dtype=np.int64)
-        self._vals = None  # no residents: the next block allocates anew
-
-    # ------------------------------------------------------------------ #
-    # Point columns
-    # ------------------------------------------------------------------ #
-
-    def _columnize(self, dimensions: Optional[int] = None) -> bool:
-        """Allocate the point columns over the current residents.
-
-        Returns ``False`` (allocating nothing) when a resident is not a
-        point a block can hold, or its dimensionality is not
-        ``dimensions``; an empty store needs ``dimensions``.
-        """
-        k = self._size
-        block = PointBlock.from_points(self._pay[:k]) if k else None
-        if block is not None:
-            if dimensions not in (None, block.dimensions):
-                return False
-            dimensions = block.dimensions
-        elif k or dimensions is None:
-            return False
-        n = self.capacity
-        self._vals = np.empty((n, dimensions))
-        self._idx = np.empty(n, dtype=np.int64)
-        self._labs = np.empty(n, dtype=np.int64)
-        self._none = np.empty(n, dtype=np.bool_)
-        if k:
-            self._put_columns(slice(0, k), block)
-        return True
-
-    def _put_columns(
-        self, slots: Any, block: PointBlock, rows: Any = slice(None)
-    ) -> None:
-        """Point-column ``slots`` from ``block`` ``rows`` (one each, or
-        arrays)."""
-        self._idx[slots] = block.index[rows]
-        self._labs[slots] = block.label[rows]
-        self._none[slots] = block.none[rows]
-        self._vals[slots] = block.values[rows]
-
-    def _column_block(self, rows: Any) -> PointBlock:
-        """Copies of the column ``rows`` as a :class:`PointBlock`."""
-        return PointBlock._of(
-            self._idx[rows].copy(),
-            self._labs[rows].copy(),
-            self._none[rows].copy(),
-            self._vals[rows].copy(),
-        )
-
-    def _payloads_at(self, rows: np.ndarray) -> List[Any]:
-        """Payloads of residents ``rows``; column-only ones (a ``None``
-        object cell while the point columns exist) are boxed."""
-        out = self._pay[rows].tolist()
-        if self._vals is not None:
-            boxed = [i for i, cell in enumerate(out) if cell is None]
-            if boxed:
-                points = self._column_block(rows[boxed]).points()
-                for i, point in zip(boxed, points):
-                    out[i] = point
-        return out
-
-    def _drop_columns(self, written: Any = ()) -> None:
-        """Box the column-only residents into objects, drop the columns.
-
-        ``written`` rows hold objects of the current block call (a
-        ``None`` cell there is a ``None`` payload, not a column-only row).
-        """
-        if self._vals is not None:
-            rows = np.setdiff1d(np.arange(self._size), written)
-            self._pay[rows] = _object_array(self._payloads_at(rows))
-        self._vals = None
-
-    def _holds(self, block: PointBlock) -> bool:
-        """Whether the point columns can take ``block``, allocating them
-        over the current residents if need be (an empty store allocates
-        at its first write)."""
-        if self._vals is None:
-            return not self._size or self._columnize(block.dimensions)
-        return self._vals.shape[1] == block.dimensions
-
-    def _write(self, slots: Any, rows: Any, pay: Any, local, glob) -> None:
-        """Store block ``rows`` in ``slots`` (one each, or arrays; a
-        repeated slot keeps its last row); the caller moves ``_size`` and
-        the counters afterwards.
-
-        A :class:`PointBlock` (one :meth:`_holds` accepted) goes to the
-        point columns alone, an object array to the object cells
-        (:meth:`_offer_block` fills their point columns).
-        """
-        if isinstance(pay, PointBlock):
-            if self._vals is None:
-                self._columnize(pay.dimensions)  # an empty store
-            self._pay[slots] = None
-            self._put_columns(slots, pay, rows)
-        else:
-            self._pay[slots] = pay[rows]
-        self._arr[slots] = local[rows]
-        self._glob[slots] = glob[rows]
-
-    def _fill_columns(self, t0: int) -> None:
-        """Point columns for the object rows written since arrival ``t0``;
-        drops the columns if one of them cannot be held."""
-        written = np.flatnonzero(self._arr[: self._size] > t0)
-        if not len(written):
-            return
-        block = PointBlock.from_points(self._pay[written])
-        if block is None or block.dimensions != self._vals.shape[1]:
-            self._drop_columns(written)
-        else:
-            self._put_columns(written, block)
-
-    def _store(self, slot: int, payload: Any) -> None:
-        """Store one offered payload in ``slot`` at arrival ``t``, and its
-        point-column row while the columns exist."""
-        if self._vals is not None:
-            row = PointBlock.row_of(payload)
-            if row is None or row[3].shape != self._vals.shape[1:]:
-                self._drop_columns()
-            else:
-                self._idx[slot], self._labs[slot], self._none[slot] = row[:3]
-                self._vals[slot] = row[3]
-        self._pay[slot] = payload
-        self._arr[slot] = self._glob[slot] = self.t
 
     # ------------------------------------------------------------------ #
     # Ingestion
@@ -283,19 +97,10 @@ class ExponentialReservoir(ReservoirSampler):
         size = self._size  # n F(t), evaluated before this arrival
         self.t += 1
         self.offers += 1
-        self.insertions += 1
+        slot = size
         if size == self.capacity or self.rng.random() < size / self.capacity:
             slot = int(self.rng.integers(size))
-            self.ejections += 1
-            self._record_op(("replace", slot))
-        else:
-            if size == 0:
-                self._allocate()
-            slot = size
-            self._record_op(("append", slot))
-        self._store(slot, payload)
-        if slot == size:
-            self._size = size + 1
+        self._insert(slot, payload)
         return True
 
     def ingest(self, payloads: np.ndarray, global_indices: np.ndarray) -> int:
@@ -314,31 +119,6 @@ class ExponentialReservoir(ReservoirSampler):
             payloads, np.asarray(global_indices, dtype=np.int64)
         )
         self._mark_compact()
-        return stored
-
-    def _offer_block(
-        self, block: Sequence[Any], glob: Optional[np.ndarray] = None
-    ) -> int:
-        """Run the family's block kernel (:meth:`_admit_block`) on
-        ``block``; ``glob`` holds its global arrival indices (default:
-        the local ones).
-
-        A :class:`~repro.streams.point.PointBlock` writes the point
-        columns as the kernel goes; one the columns cannot hold is boxed
-        first (and drops them). An object block writes only object
-        cells, and the point columns of the rows it wrote (those whose
-        local arrival is past the call's start) are filled once here, so
-        a kernel that writes many small segments converts each payload
-        once.
-        """
-        pay = _as_payloads(block)
-        if isinstance(pay, PointBlock) and not self._holds(pay):
-            self._drop_columns()
-            pay = _object_array(pay.points())
-        t0 = self.t
-        stored = self._admit_block(pay, glob)
-        if self._vals is not None and not isinstance(pay, PointBlock):
-            self._fill_columns(t0)
         return stored
 
     def _admit_block(self, pay: Any, glob: Optional[np.ndarray]) -> int:
@@ -408,138 +188,9 @@ class ExponentialReservoir(ReservoirSampler):
         self.insertions += k
         self.ejections += k - new_count
 
-    def _eject_random(self, count: int) -> List[SampleEntry]:
-        """Remove ``count`` uniformly random residents (without replacement).
-
-        One victim is swap-removed (the last resident moves into its
-        slot); more are removed by one order-preserving compaction.
-        Point-column rows, once allocated, move with their residents.
-        """
-        size = self._size
-        count = min(int(count), size)
-        if count <= 0:
-            return []
-        columns = [self._pay, self._arr, self._glob]
-        if self._vals is not None:
-            columns += [self._vals, self._idx, self._labs, self._none]
-        if count == 1:
-            victim = int(self.rng.integers(size))
-            payload = self._pay[victim]
-            if payload is None and self._vals is not None:
-                payload = self._payloads_at(np.array([victim]))[0]
-            evicted = [SampleEntry(int(self._arr[victim]), payload)]
-            for column in columns:
-                column[victim] = column[size - 1]
-        else:
-            victims = self.rng.choice(size, size=count, replace=False)
-            evicted = [
-                SampleEntry(arrival, payload)
-                for arrival, payload in zip(
-                    self._arr[victims].tolist(), self._payloads_at(victims)
-                )
-            ]
-            keep = np.ones(size, dtype=bool)
-            keep[victims] = False
-            for column in columns:
-                column[: size - count] = column[:size][keep]
-        self._pay[size - count : size] = None  # release evicted payloads
-        self._size = size - count
-        self.ejections += count
-        self._record_op(("compact",))
-        return evicted
-
     # ------------------------------------------------------------------ #
-    # Inspection (array-backed overrides)
+    # Snapshots and inclusion model
     # ------------------------------------------------------------------ #
-
-    @property
-    def size(self) -> int:
-        return self._size
-
-    def payloads(self) -> List[Any]:
-        """Copy of the resident payloads (order is storage order).
-
-        Column-only residents are boxed into fresh
-        :class:`~repro.streams.point.StreamPoint` s.
-        """
-        return self._payloads_at(np.arange(self._size))
-
-    def arrival_indices(self) -> np.ndarray:
-        """1-based local arrival indices of the residents (int64 copy)."""
-        return self._arr[: self._size].copy()
-
-    def global_arrivals(self) -> np.ndarray:
-        """Global (whole-stream) arrival index per resident."""
-        return self._glob[: self._size].copy()
-
-    def _build_columns(self) -> ResidentColumns:
-        """Copies of the ``[:size]`` point-column slices, so a view never
-        changes under its holder.
-
-        Allocates the columns on the first call; residents the columns
-        cannot hold take the base class's per-payload build.
-        """
-        k = self._size
-        if not k:
-            return build_resident_columns([], _NO_INDICES)
-        if self._vals is None and not self._columnize():
-            return super()._build_columns()
-        return frozen_columns(
-            self._vals[:k].copy(),
-            np.where(self._none[:k], -1, self._labs[:k]),
-            self._arr[:k].copy(),
-        )
-
-    # ------------------------------------------------------------------ #
-    # Snapshots
-    # ------------------------------------------------------------------ #
-
-    def _storage_state(self) -> Dict[str, Any]:
-        """Residents as point columns when every one is a point a block
-        can hold, else as a payload list; the form depends on the
-        residents alone, not on how they arrived."""
-        k = self._size
-        if not k:
-            block = None
-        elif self._vals is not None:
-            block = self._column_block(slice(0, k))
-        else:
-            block = PointBlock.from_points(self._pay[:k])
-        state: Dict[str, Any] = {}
-        if block is None:
-            state["payloads"] = self._pay[:k].tolist()
-        else:
-            state["points"] = {
-                "index": block.index,
-                "label": block.label,
-                "none": block.none.view(np.uint8),
-                "values": block.values,
-            }
-        state["arrivals"] = self._arr[:k].tolist()
-        state["global_arrivals"] = self._glob[:k].tolist()
-        return state
-
-    def _restore_storage(self, state: Dict[str, Any]) -> None:
-        self._allocate()
-        self._size = 0
-        if "points" in state:
-            cols = state["points"]
-            block = PointBlock(
-                cols["index"], cols["label"], cols["none"], cols["values"]
-            )
-            k = len(block)
-            self._columnize(block.dimensions)
-            self._put_columns(slice(0, k), block)
-        else:
-            k = len(state["payloads"])
-            # Elementwise object assignment (tuple payloads must not
-            # broadcast).
-            self._pay[:k] = _object_array(state["payloads"])
-        self._arr[:k] = state["arrivals"]
-        # Snapshots of a stand-alone reservoir written before the global
-        # axis was stored have it equal to the local one.
-        self._glob[:k] = state.get("global_arrivals", state["arrivals"])
-        self._size = k
 
     def _extra_state(self) -> dict:
         return {"requested_lam": self.requested_lam}

@@ -2,20 +2,21 @@
 
 Query evaluation (:mod:`repro.queries`) and the mining readers
 (:mod:`repro.mining`) are array-native: every estimate is a handful of
-numpy reductions over the residents' feature values, labels, and arrival
-indices, and :class:`ResidentColumns` is the only way they get resident
-rows. Materializing those three contiguous columns from a payload list
-costs one Python pass over the residents, so it must not be paid *per
-query*: :class:`ResidentColumns` is that one materialization;
+numpy reductions over the residents' feature values, labels (with their
+``None`` mask), and arrival indices, and :class:`ResidentColumns` is the
+only way they get resident rows. Materializing those contiguous columns
+from a payload list costs one Python pass over the residents, so it must
+not be paid *per query*: :class:`ResidentColumns` is that one materialization;
 :meth:`~repro.core.reservoir.ReservoirSampler.resident_columns` caches it
 against a mutation key so every estimate between two reservoir mutations
 reuses the same arrays. The array store
-(:class:`~repro.core.biased.ExponentialReservoir` and its subclasses)
-keeps its point residents in full-capacity value, label, ``None``-mask
-and index columns that every insert writes (rows from a
+(:class:`~repro.core.reservoir.ReservoirSampler`, every family but the
+chain sampler) keeps its point residents in full-capacity value, label,
+``None``-mask and index columns that every insert writes (rows from a
 :class:`~repro.streams.point.PointBlock` live there alone), so a new
-view copies slices of them and reads no payload; other samplers take
-one :func:`point_rows` pass over their payloads per view.
+view copies slices of them and reads no payload; residents the columns
+cannot hold, and the chain sampler's, take one :func:`point_rows` pass
+over their payloads per view.
 
 The view requires :class:`~repro.streams.point.StreamPoint` payloads;
 any other payload type makes :func:`build_resident_columns` raise
@@ -49,12 +50,15 @@ class ResidentColumns:
     values:
         Feature matrix, shape ``(size, dimensions)``, float64, read-only.
     labels:
-        Class labels, shape ``(size,)``, int64; ``-1`` encodes an
-        unlabeled point (``StreamPoint.label is None``).
+        Class labels, shape ``(size,)``, int64; an unlabeled row reads
+        ``-1`` here, which :attr:`none` tells apart from a real ``-1``.
+    none:
+        Bool mask, shape ``(size,)``: ``True`` where the point's label is
+        ``None``.
     arrivals:
         1-based arrival indices, shape ``(size,)``, int64.
 
-    All three arrays are marked read-only: they are shared by every
+    All four arrays are marked read-only: they are shared by every
     consumer of the cached view, so nobody may scribble on them. They are
     never the sampler's working storage, so a held view stays as it was
     when taken while the reservoir moves on.
@@ -62,6 +66,7 @@ class ResidentColumns:
 
     values: np.ndarray
     labels: np.ndarray
+    none: np.ndarray
     arrivals: np.ndarray
 
     @property
@@ -72,11 +77,12 @@ class ResidentColumns:
 
 def point_rows(
     payloads: Sequence[StreamPoint],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Feature rows ``(k, d)`` float64 and labels ``(k,)`` int64 of points.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Feature rows ``(k, d)`` float64, labels ``(k,)`` int64 and the
+    ``None``-label mask ``(k,)`` of points.
 
     ``payloads`` must be a non-empty sequence of :class:`StreamPoint`
-    objects; an unlabeled point gets label ``-1``.
+    objects; an unlabeled point gets label ``-1`` and a set mask bit.
     """
     first = payloads[0]
     if not isinstance(first, StreamPoint):
@@ -87,21 +93,31 @@ def point_rows(
             f"{type(first).__name__}"
         )
     values = np.array([p.values for p in payloads], dtype=np.float64)
+    none = np.fromiter(
+        (p.label is None for p in payloads),
+        dtype=np.bool_,
+        count=len(payloads),
+    )
     labels = np.fromiter(
         (-1 if p.label is None else p.label for p in payloads),
         dtype=np.int64,
         count=len(payloads),
     )
-    return values, labels
+    return values, labels, none
 
 
 def frozen_columns(
-    values: np.ndarray, labels: np.ndarray, arrivals: np.ndarray
+    values: np.ndarray,
+    labels: np.ndarray,
+    none: np.ndarray,
+    arrivals: np.ndarray,
 ) -> ResidentColumns:
     """Wrap arrays the caller owns as a read-only :class:`ResidentColumns`."""
-    for column in (values, labels, arrivals):
+    for column in (values, labels, none, arrivals):
         column.setflags(write=False)
-    return ResidentColumns(values=values, labels=labels, arrivals=arrivals)
+    return ResidentColumns(
+        values=values, labels=labels, none=none, arrivals=arrivals
+    )
 
 
 def build_resident_columns(
@@ -114,10 +130,11 @@ def build_resident_columns(
     ``(0, 0)``-shaped values.
     """
     if payloads:
-        values, labels = point_rows(payloads)
+        values, labels, none = point_rows(payloads)
     else:
         values = np.empty((0, 0))
         labels = np.empty(0, dtype=np.int64)
+        none = np.empty(0, dtype=np.bool_)
     return frozen_columns(
-        values, labels, np.array(arrivals, dtype=np.int64)
+        values, labels, none, np.array(arrivals, dtype=np.int64)
     )

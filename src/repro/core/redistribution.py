@@ -25,7 +25,7 @@ predicts.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -94,7 +94,8 @@ class GeneralBiasSampler(ReservoirSampler):
         slack in expectation.
     """
 
-    supports_mutation_log = False  # storage is rebuilt wholesale per offer
+    #: Current ``p(r, t)`` per resident.
+    _side_columns = ("_p",)
 
     def __init__(
         self,
@@ -110,7 +111,6 @@ class GeneralBiasSampler(ReservoirSampler):
         self.bias = bias
         self.target_size = target_size
         self._weight_sum = 0.0  # sum_{i<=t} f(i, t)
-        self._probs: List[float] = []  # current p(r, t) per resident
 
     def _constant(self) -> float:
         """Normalizer ``C(t) = n / sum f(i, t)`` from Equation (6)."""
@@ -121,12 +121,12 @@ class GeneralBiasSampler(ReservoirSampler):
             "bias": _bias_state(self.bias),
             "target_size": self.target_size,
             "weight_sum": self._weight_sum,
-            "probs": [float(p) for p in self._probs],
+            "probs": self._p[: self._size].tolist(),
         }
 
     def _restore_extra(self, state: dict) -> None:
         self._weight_sum = float(state["weight_sum"])
-        self._probs = [float(p) for p in state["probs"]]
+        self._p[: self._size] = state["probs"]
 
     @classmethod
     def _construct_from_state(cls, state: dict) -> "GeneralBiasSampler":
@@ -153,30 +153,30 @@ class GeneralBiasSampler(ReservoirSampler):
         self.offers += 1
 
         const = self._constant()
-        # Redistribute: thin every resident to its new target probability.
-        survivors_p: List[Any] = []
-        survivors_a: List[int] = []
-        survivors_prob: List[float] = []
-        for pay, arr, p_old in zip(self._payloads, self._arrivals, self._probs):
-            p_new = min(1.0, const * self.bias.weight(arr, self.t))
-            keep_prob = 1.0 if p_old <= 0.0 else min(1.0, p_new / p_old)
-            if self.rng.random() < keep_prob:
-                survivors_p.append(pay)
-                survivors_a.append(arr)
-                survivors_prob.append(p_new)
-            else:
-                self.ejections += 1
-        self._payloads = survivors_p
-        self._arrivals = survivors_a
-        self._probs = survivors_prob
+        # Redistribute: thin every resident to its new target probability
+        # (one coin each, in storage order), keeping survivors in order.
+        size = self._size
+        if size:
+            t = self.t
+            weight = self.bias.weight
+            probs = self._p
+            coins = self.rng.random(size)
+            keep = np.empty(size, dtype=bool)
+            for i, (arr, p_old) in enumerate(
+                zip(self._arr[:size].tolist(), probs[:size].tolist())
+            ):
+                p_new = min(1.0, const * weight(arr, t))
+                keep_prob = 1.0 if p_old <= 0.0 else min(1.0, p_new / p_old)
+                keep[i] = coins[i] < keep_prob
+                probs[i] = p_new
+            self._compact(keep)
 
         # Admit the newcomer with its own target probability.
         p_new_point = min(1.0, const * self.bias.weight(self.t, self.t))
-        if self.rng.random() < p_new_point and self.size < self.capacity:
-            self._payloads.append(payload)
-            self._arrivals.append(self.t)
-            self._probs.append(p_new_point)
-            self.insertions += 1
+        if self.rng.random() < p_new_point and self._size < self.capacity:
+            slot = self._size
+            self._insert(slot, payload)
+            self._p[slot] = p_new_point
             return True
         return False
 

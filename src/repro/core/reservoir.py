@@ -2,19 +2,21 @@
 
 A reservoir sampler consumes a stream one item at a time through
 :meth:`ReservoirSampler.offer` and maintains a bounded in-memory sample.
-Subclasses implement the paper's specific insertion/ejection policies; this
-module provides the storage, counters, and inspection API common to all of
+Subclasses implement the paper's specific insertion/ejection policies:
+which slot an arrival takes and which residents leave. This module
+provides the storage, counters, and inspection API common to all of
 them.
 
-Storage layout: by default two parallel Python lists, ``_payloads``
-(arbitrary user objects) and ``_arrivals`` (1-based arrival indices),
-which keep per-offer overhead minimal while letting callers attach any
-payload type. Families with bespoke storage override the inspection and
-snapshot hooks: :class:`~repro.core.biased.ExponentialReservoir` keeps
-its residents in preallocated numpy arrays so its block kernel can write
-them with scatters, and
-:class:`~repro.core.sliding_window.ChainSampler` keeps them inside its
-chains.
+Storage layout: one array store. Residents live in arrays of length
+``capacity``: local and *global* arrival indices (int64), an object
+column, per-family float side columns (timestamps, insertion
+probabilities) and, for :class:`~repro.streams.point.StreamPoint`
+residents, point columns (feature values, labels, a ``None``-label mask
+and point indices). The global axis is the whole-stream position of each
+resident when the reservoir is one shard of a partitioned stream
+(:mod:`repro.shard`); for a stand-alone reservoir it equals the local
+arrival index. :class:`~repro.core.sliding_window.ChainSampler` keeps its
+residents inside its chains instead and overrides the views.
 """
 
 from __future__ import annotations
@@ -22,11 +24,16 @@ from __future__ import annotations
 import importlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.columns import ResidentColumns, build_resident_columns
+from repro.core.columns import (
+    ResidentColumns,
+    build_resident_columns,
+    frozen_columns,
+)
+from repro.streams.point import PointBlock
 from repro.utils.rng import RngLike, as_generator
 
 __all__ = [
@@ -46,6 +53,27 @@ SNAPSHOT_VERSION = 1
 #: (:func:`from_state_dict`). Populated by ``__init_subclass__``.
 _SAMPLER_CLASSES: Dict[str, type] = {}
 
+_NO_PAYLOADS = np.empty(0, dtype=object)
+_NO_INDICES = np.empty(0, dtype=np.int64)
+_NO_FLOATS = np.empty(0)
+
+
+def _object_array(block: Sequence[Any]) -> np.ndarray:
+    """1-D object array of ``block`` (safe for tuple payloads).
+
+    ``fromiter`` stores each item as it is, without probing it for
+    sequence structure the way slice assignment does.
+    """
+    return np.fromiter(block, dtype=object, count=len(block))
+
+
+def _as_payloads(block: Sequence[Any]) -> Any:
+    """A block as the store writes it: a :class:`PointBlock` or a 1-D
+    object array is used as it is, anything else becomes an object array."""
+    if isinstance(block, (np.ndarray, PointBlock)):
+        return block
+    return _object_array(block)
+
 
 @dataclass(frozen=True)
 class SampleEntry:
@@ -56,7 +84,19 @@ class SampleEntry:
 
 
 class ReservoirSampler(ABC):
-    """Abstract bounded stream sampler.
+    """Abstract bounded stream sampler on the array store.
+
+    The point columns are allocated by the first
+    :class:`~repro.streams.point.PointBlock` offered, the first
+    :meth:`resident_columns` call, or the restore of a columnar
+    snapshot, provided every resident is a point a block can hold
+    (:meth:`PointBlock.from_points
+    <repro.streams.point.PointBlock.from_points>`). From then on every
+    insert writes them. Rows that arrived in a block live in the columns
+    alone (their object cell is ``None``) and :meth:`payloads` boxes them
+    on demand; an object offered as an object also keeps its object
+    cell. An insert the columns cannot hold (another payload type or
+    dimensionality) boxes the column-only rows and drops the columns.
 
     Parameters
     ----------
@@ -83,8 +123,16 @@ class ReservoirSampler(ABC):
         self.offers = 0
         self.insertions = 0
         self.ejections = 0
-        self._payloads: List[Any] = []
-        self._arrivals: List[int] = []
+        # The resident arrays are allocated on the first insert, so that
+        # building a reservoir costs no O(n) object-array fill.
+        self._pay = _NO_PAYLOADS
+        self._arr = self._glob = _NO_INDICES
+        for name in self._side_columns:
+            setattr(self, name, _NO_FLOATS)
+        self._size = 0
+        # Point columns (class docstring); `_idx`, `_labs` and `_none`
+        # exist whenever `_vals` is not None.
+        self._vals: Optional[np.ndarray] = None
         # Per-offer mutation log (see `last_ops`): lets consumers such as
         # the kNN classifier mirror the reservoir incrementally instead of
         # re-snapshotting it on every prediction.
@@ -95,8 +143,8 @@ class ReservoirSampler(ABC):
         self._columns_cache: Optional[Tuple[Tuple, ResidentColumns]] = None
 
     #: Whether `last_ops` faithfully describes every storage change. Samplers
-    #: with bespoke storage (chains, wholesale rebuilds) set this to False and
-    #: consumers fall back to full re-snapshots.
+    #: with bespoke storage (chains) set this to False and consumers fall
+    #: back to full re-snapshots.
     supports_mutation_log: bool = True
 
     #: Whether the sampler maintains an exponential inclusion design
@@ -106,9 +154,14 @@ class ReservoirSampler(ABC):
     exponential_design: bool = False
 
     #: Block types :meth:`offer_many` hands to :meth:`_offer_block` as
-    #: they are; any other iterable is listed first (a
-    #: :class:`~repro.streams.point.PointBlock` boxes into points).
-    _block_types: Tuple[type, ...] = (list, tuple)
+    #: they are; any other iterable is listed first.
+    _block_types: Tuple[type, ...] = (list, tuple, PointBlock)
+
+    #: Attribute names of the family's float64 per-resident columns. The
+    #: store allocates them with the others and moves their rows with
+    #: the residents on every ejection; the family writes a row after
+    #: each insert and snapshots them in its extras.
+    _side_columns: Tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
@@ -147,7 +200,7 @@ class ReservoirSampler(ABC):
         ).reshape(r.shape)
 
     # ------------------------------------------------------------------ #
-    # Shared storage operations
+    # Ingestion
     # ------------------------------------------------------------------ #
 
     def extend(self, payloads: Iterable[Any]) -> int:
@@ -176,10 +229,10 @@ class ReservoirSampler(ABC):
         Statistically equivalent to calling :meth:`offer` in a loop —
         counters (``t``, ``offers``, ``insertions``, ``ejections``) and the
         sampling distribution match the per-item path — but subclasses with
-        closed-form policies override the hooks below with vectorized numpy
-        fast paths that pre-draw the block's randomness in bulk. The exact
-        random *sequence* consumed may therefore differ from the per-item
-        path; only the distribution is guaranteed.
+        closed-form policies override :meth:`_admit_block` with vectorized
+        numpy fast paths that pre-draw the block's randomness in bulk. The
+        exact random *sequence* consumed may therefore differ from the
+        per-item path; only the distribution is guaranteed.
 
         A non-empty batch leaves :attr:`last_ops` as ``[("compact",)]``:
         storage changed as a whole, and consumers re-snapshot. The return
@@ -197,16 +250,41 @@ class ReservoirSampler(ABC):
         self._mark_compact()
         return stored
 
-    def _offer_block(self, block: List[Any]) -> int:
-        """Batch-ingestion hook: process ``block`` and return stored count.
+    def _offer_block(
+        self, block: Sequence[Any], glob: Optional[np.ndarray] = None
+    ) -> int:
+        """Run the family's block kernel (:meth:`_admit_block`) on
+        ``block``; ``glob`` holds its global arrival indices (default:
+        the local ones).
+
+        A :class:`~repro.streams.point.PointBlock` writes the point
+        columns as the kernel goes; one the columns cannot hold is boxed
+        first (and drops them). An object block writes only object
+        cells, and the point columns of the rows it wrote (those whose
+        local arrival is past the call's start) are filled once here, so
+        a kernel that writes many small segments converts each payload
+        once.
+        """
+        pay = _as_payloads(block)
+        if isinstance(pay, PointBlock) and not self._holds(pay):
+            self._drop_columns()
+            pay = _object_array(pay.points())
+        t0 = self.t
+        stored = self._admit_block(pay, glob)
+        if self._vals is not None and not isinstance(pay, PointBlock):
+            self._fill_columns(t0)
+        return stored
+
+    def _admit_block(self, pay: Any, glob: Optional[np.ndarray]) -> int:
+        """Batch-ingestion hook: process ``pay`` and return stored count.
 
         The base implementation is the per-item loop; subclasses override
-        it with vectorized fast paths that write storage in bulk and keep
-        no per-slot mutation records (:meth:`offer_many` replaces the log
-        afterwards).
+        it with vectorized fast paths that write storage in bulk
+        (:meth:`_write`) and keep no per-slot mutation records
+        (:meth:`offer_many` replaces the log afterwards).
         """
         stored = 0
-        for payload in block:
+        for payload in pay:
             if self.offer(payload):
                 stored += 1
         return stored
@@ -235,31 +313,213 @@ class ReservoirSampler(ABC):
         """
         return list(self._ops) if self._ops_t == self.t else []
 
-    def _append(self, payload: Any) -> None:
-        """Store a new resident (reservoir grows by one)."""
-        if len(self._payloads) >= self.capacity:
-            raise RuntimeError("reservoir already at capacity; replace instead")
-        self._payloads.append(payload)
-        self._arrivals.append(self.t)
-        self.insertions += 1
-        self._record_op(("append", len(self._payloads) - 1))
+    # ------------------------------------------------------------------ #
+    # Array store
+    # ------------------------------------------------------------------ #
 
-    def _replace_random(self, payload: Any) -> SampleEntry:
-        """Overwrite a uniformly random resident; return the evicted entry."""
-        if not self._payloads:
-            raise RuntimeError("cannot replace in an empty reservoir")
-        victim = int(self.rng.integers(len(self._payloads)))
-        return self._replace_at(victim, payload)
+    def _allocate(self) -> None:
+        """Allocate empty resident arrays of length ``capacity``."""
+        n = self.capacity
+        self._pay = np.empty(n, dtype=object)
+        self._arr = np.empty(n, dtype=np.int64)
+        self._glob = np.empty(n, dtype=np.int64)
+        for name in self._side_columns:
+            setattr(self, name, np.empty(n))
+        self._vals = None  # no residents: the next block allocates anew
 
-    def _replace_at(self, slot: int, payload: Any) -> SampleEntry:
-        """Overwrite the resident in ``slot``; return the evicted entry."""
-        evicted = SampleEntry(self._arrivals[slot], self._payloads[slot])
-        self._payloads[slot] = payload
-        self._arrivals[slot] = self.t
+    def _row_columns(self) -> List[np.ndarray]:
+        """Every per-resident column, which an ejection moves together."""
+        columns = [self._pay, self._arr, self._glob]
+        if self._vals is not None:
+            columns += [self._vals, self._idx, self._labs, self._none]
+        return columns + [getattr(self, name) for name in self._side_columns]
+
+    def _columnize(self, dimensions: Optional[int] = None) -> bool:
+        """Allocate the point columns over the current residents.
+
+        Returns ``False`` (allocating nothing) when a resident is not a
+        point a block can hold, or its dimensionality is not
+        ``dimensions``; an empty store needs ``dimensions``.
+        """
+        k = self._size
+        block = PointBlock.from_points(self._pay[:k]) if k else None
+        if block is not None:
+            if dimensions not in (None, block.dimensions):
+                return False
+            dimensions = block.dimensions
+        elif k or dimensions is None:
+            return False
+        n = self.capacity
+        self._vals = np.empty((n, dimensions))
+        self._idx = np.empty(n, dtype=np.int64)
+        self._labs = np.empty(n, dtype=np.int64)
+        self._none = np.empty(n, dtype=np.bool_)
+        if k:
+            self._put_columns(slice(0, k), block)
+        return True
+
+    def _put_columns(
+        self, slots: Any, block: PointBlock, rows: Any = slice(None)
+    ) -> None:
+        """Point-column ``slots`` from ``block`` ``rows`` (one each, or
+        arrays)."""
+        self._idx[slots] = block.index[rows]
+        self._labs[slots] = block.label[rows]
+        self._none[slots] = block.none[rows]
+        self._vals[slots] = block.values[rows]
+
+    def _column_block(self, rows: Any) -> PointBlock:
+        """Copies of the column ``rows`` as a :class:`PointBlock`."""
+        return PointBlock._of(
+            self._idx[rows].copy(),
+            self._labs[rows].copy(),
+            self._none[rows].copy(),
+            self._vals[rows].copy(),
+        )
+
+    def _payloads_at(self, rows: np.ndarray) -> List[Any]:
+        """Payloads of residents ``rows``; column-only ones (a ``None``
+        object cell while the point columns exist) are boxed."""
+        out = self._pay[rows].tolist()
+        if self._vals is not None:
+            boxed = [i for i, cell in enumerate(out) if cell is None]
+            if boxed:
+                points = self._column_block(rows[boxed]).points()
+                for i, point in zip(boxed, points):
+                    out[i] = point
+        return out
+
+    def _drop_columns(self, written: Any = ()) -> None:
+        """Box the column-only residents into objects, drop the columns.
+
+        ``written`` rows hold objects of the current block call (a
+        ``None`` cell there is a ``None`` payload, not a column-only row).
+        """
+        if self._vals is not None:
+            rows = np.setdiff1d(np.arange(self._size), written)
+            self._pay[rows] = _object_array(self._payloads_at(rows))
+        self._vals = None
+
+    def _holds(self, block: PointBlock) -> bool:
+        """Whether the point columns can take ``block``, allocating them
+        over the current residents if need be (an empty store allocates
+        at its first write)."""
+        if self._vals is None:
+            return not self._size or self._columnize(block.dimensions)
+        return self._vals.shape[1] == block.dimensions
+
+    def _write(self, slots: Any, rows: Any, pay: Any, local, glob) -> None:
+        """Store block ``rows`` in ``slots`` (one each, or arrays; a
+        repeated slot keeps its last row); the caller moves ``_size`` and
+        the counters afterwards.
+
+        A :class:`PointBlock` (one :meth:`_holds` accepted) goes to the
+        point columns alone, an object array to the object cells
+        (:meth:`_offer_block` fills their point columns).
+        """
+        if isinstance(pay, PointBlock):
+            if self._vals is None:
+                self._columnize(pay.dimensions)  # an empty store
+            self._pay[slots] = None
+            self._put_columns(slots, pay, rows)
+        else:
+            self._pay[slots] = pay[rows]
+        self._arr[slots] = local[rows]
+        self._glob[slots] = glob[rows]
+
+    def _fill_columns(self, t0: int) -> None:
+        """Point columns for the object rows written since arrival ``t0``;
+        drops the columns if one of them cannot be held."""
+        written = np.flatnonzero(self._arr[: self._size] > t0)
+        if not len(written):
+            return
+        block = PointBlock.from_points(self._pay[written])
+        if block is None or block.dimensions != self._vals.shape[1]:
+            self._drop_columns(written)
+        else:
+            self._put_columns(written, block)
+
+    def _insert(self, slot: int, payload: Any) -> None:
+        """Store one offered payload at arrival ``t``: appended when
+        ``slot`` is the current size, else replacing that resident. Its
+        point-column row is written while the columns exist; counters and
+        the mutation log move with it."""
+        size = self._size
         self.insertions += 1
-        self.ejections += 1
-        self._record_op(("replace", slot))
+        if slot == size:
+            if size == 0:
+                self._allocate()
+            self._record_op(("append", slot))
+        else:
+            self.ejections += 1
+            self._record_op(("replace", slot))
+        if self._vals is not None:
+            row = PointBlock.row_of(payload)
+            if row is None or row[3].shape != self._vals.shape[1:]:
+                self._drop_columns()
+            else:
+                self._idx[slot], self._labs[slot], self._none[slot] = row[:3]
+                self._vals[slot] = row[3]
+        self._pay[slot] = payload
+        self._arr[slot] = self._glob[slot] = self.t
+        if slot == size:
+            self._size = size + 1
+
+    def _eject_random(self, count: int) -> List[SampleEntry]:
+        """Remove ``count`` uniformly random residents (without replacement).
+
+        One victim is swap-removed (:meth:`_swap_remove`); more are
+        removed by one order-preserving :meth:`_compact`. Returns the
+        evicted residents.
+        """
+        size = self._size
+        count = min(int(count), size)
+        if count <= 0:
+            return []
+        if count == 1:
+            victim = int(self.rng.integers(size))
+            payload = self._pay[victim]
+            if payload is None and self._vals is not None:
+                payload = self._payloads_at(np.array([victim]))[0]
+            evicted = [SampleEntry(int(self._arr[victim]), payload)]
+            self._swap_remove(victim)
+            return evicted
+        victims = self.rng.choice(size, size=count, replace=False)
+        evicted = [
+            SampleEntry(arrival, payload)
+            for arrival, payload in zip(
+                self._arr[victims].tolist(), self._payloads_at(victims)
+            )
+        ]
+        keep = np.ones(size, dtype=bool)
+        keep[victims] = False
+        self._compact(keep)
         return evicted
+
+    def _swap_remove(self, victim: int) -> None:
+        """Remove resident ``victim``; the last resident moves into its
+        slot."""
+        last = self._size - 1
+        for column in self._row_columns():
+            column[victim] = column[last]
+        self._pay[last] = None  # release the evicted payload
+        self._size = last
+        self.ejections += 1
+        self._record_op(("compact",))
+
+    def _compact(self, keep: np.ndarray) -> None:
+        """Keep the residents where the ``(size,)`` mask ``keep`` is set,
+        in their order; a no-op when it keeps them all."""
+        size = self._size
+        kept = int(np.count_nonzero(keep))
+        if kept == size:
+            return
+        for column in self._row_columns():
+            column[:kept] = column[:size][keep]
+        self._pay[kept:size] = None  # release evicted payloads
+        self._size = kept
+        self.ejections += size - kept
+        self._record_op(("compact",))
 
     # ------------------------------------------------------------------ #
     # Snapshots (checkpoint/restore and cross-process transport)
@@ -278,7 +538,7 @@ class ReservoirSampler(ABC):
         restarts; it also serves as a standalone checkpoint format.
 
         Payload objects are carried by reference (not copied); the
-        container lists are fresh, so continuing to offer into the live
+        containers are fresh, so continuing to offer into the live
         sampler never mutates an already-taken snapshot.
         """
         state: Dict[str, Any] = {
@@ -297,16 +557,52 @@ class ReservoirSampler(ABC):
         return state
 
     def _storage_state(self) -> Dict[str, Any]:
-        """Resident storage as snapshot fields (hook for bespoke storage)."""
-        return {
-            "payloads": list(self._payloads),
-            "arrivals": [int(a) for a in self._arrivals],
-        }
+        """Residents as point columns when every one is a point a block
+        can hold, else as a payload list; the form depends on the
+        residents alone, not on how they arrived."""
+        k = self._size
+        if not k:
+            block = None
+        elif self._vals is not None:
+            block = self._column_block(slice(0, k))
+        else:
+            block = PointBlock.from_points(self._pay[:k])
+        state: Dict[str, Any] = {}
+        if block is None:
+            state["payloads"] = self._pay[:k].tolist()
+        else:
+            state["points"] = {
+                "index": block.index,
+                "label": block.label,
+                "none": block.none.view(np.uint8),
+                "values": block.values,
+            }
+        state["arrivals"] = self._arr[:k].tolist()
+        state["global_arrivals"] = self._glob[:k].tolist()
+        return state
 
     def _restore_storage(self, state: Dict[str, Any]) -> None:
-        """Rebuild resident storage from snapshot fields."""
-        self._payloads = list(state["payloads"])
-        self._arrivals = [int(a) for a in state["arrivals"]]
+        """Rebuild resident storage from snapshot fields (either form)."""
+        self._allocate()
+        self._size = 0
+        if "points" in state:
+            cols = state["points"]
+            block = PointBlock(
+                cols["index"], cols["label"], cols["none"], cols["values"]
+            )
+            k = len(block)
+            self._columnize(block.dimensions)
+            self._put_columns(slice(0, k), block)
+        else:
+            k = len(state["payloads"])
+            # Elementwise object assignment (tuple payloads must not
+            # broadcast).
+            self._pay[:k] = _object_array(state["payloads"])
+        self._arr[:k] = state["arrivals"]
+        # Snapshots written before the global axis was stored have it
+        # equal to the local one.
+        self._glob[:k] = state.get("global_arrivals", state["arrivals"])
+        self._size = k
 
     def _extra_state(self) -> Dict[str, Any]:
         """Family-specific snapshot fields (override in subclasses)."""
@@ -333,7 +629,7 @@ class ReservoirSampler(ABC):
     @property
     def size(self) -> int:
         """Current number of residents."""
-        return len(self._payloads)
+        return self._size
 
     @property
     def fill_fraction(self) -> float:
@@ -351,12 +647,20 @@ class ReservoirSampler(ABC):
         return self.size >= self.capacity
 
     def payloads(self) -> List[Any]:
-        """Copy of the resident payloads (order is storage order)."""
-        return list(self._payloads)
+        """Copy of the resident payloads (order is storage order).
+
+        Column-only residents are boxed into fresh
+        :class:`~repro.streams.point.StreamPoint` s.
+        """
+        return self._payloads_at(np.arange(self._size))
 
     def arrival_indices(self) -> np.ndarray:
-        """1-based arrival indices of the residents, as an int64 array."""
-        return np.asarray(self._arrivals, dtype=np.int64)
+        """1-based local arrival indices of the residents (int64 copy)."""
+        return self._arr[: self._size].copy()
+
+    def global_arrivals(self) -> np.ndarray:
+        """Global (whole-stream) arrival index per resident."""
+        return self._glob[: self._size].copy()
 
     def ages(self) -> np.ndarray:
         """Per-resident age ``t - r`` (0 for a point that just arrived)."""
@@ -373,12 +677,11 @@ class ReservoirSampler(ABC):
         """Cache key for :meth:`resident_columns`.
 
         Resident storage can only change through paths that bump
-        ``insertions`` or ``ejections`` (``_append``, ``_replace_at``, the
-        array store's ``_eject_random``, and every vectorized
-        ``offer_many`` fast path bumps them in bulk), so those counters —
-        plus the size, as a belt-and-braces guard for bespoke subclasses —
-        identify a storage epoch exactly. Families whose storage mutates
-        outside the counter paths (e.g.
+        ``insertions`` or ``ejections`` (:meth:`_insert`, the block
+        kernels, :meth:`_swap_remove` and :meth:`_compact`), so those
+        counters — plus the size, as a belt-and-braces guard — identify a
+        storage epoch exactly. Families whose storage mutates outside the
+        counter paths (e.g.
         :class:`~repro.core.sliding_window.ChainSampler`) override this
         with a key that changes on every storage change.
         """
@@ -387,12 +690,12 @@ class ReservoirSampler(ABC):
     def resident_columns(self) -> ResidentColumns:
         """Struct-of-arrays view of the residents, cached between mutations.
 
-        Returns contiguous ``values``/``labels``/``arrivals`` arrays (see
-        :class:`~repro.core.columns.ResidentColumns`) in storage order.
-        The view is cached against :meth:`_columns_key`, so repeated
-        query estimates between two reservoir mutations share one build;
-        a new build goes through :meth:`_build_columns`. Requires
-        :class:`~repro.streams.point.StreamPoint` payloads.
+        Returns contiguous ``values``/``labels``/``none``/``arrivals``
+        arrays (see :class:`~repro.core.columns.ResidentColumns`) in
+        storage order. The view is cached against :meth:`_columns_key`,
+        so repeated query estimates between two reservoir mutations share
+        one build; a new build goes through :meth:`_build_columns`.
+        Requires :class:`~repro.streams.point.StreamPoint` payloads.
         """
         key = self._columns_key()
         cached = self._columns_cache
@@ -403,12 +706,26 @@ class ReservoirSampler(ABC):
         return columns
 
     def _build_columns(self) -> ResidentColumns:
-        """Build the resident view from scratch (one pass over payloads).
+        """Copies of the ``[:size]`` point-column slices, so a view never
+        changes under its holder.
 
-        The array store (:class:`~repro.core.biased.ExponentialReservoir`)
-        overrides this to copy its point columns.
+        Allocates the columns on the first call; residents the columns
+        cannot hold take one per-payload pass.
         """
-        return build_resident_columns(self.payloads(), self.arrival_indices())
+        k = self._size
+        if not k:
+            return build_resident_columns([], _NO_INDICES)
+        if self._vals is None and not self._columnize():
+            return build_resident_columns(
+                self.payloads(), self.arrival_indices()
+            )
+        none = self._none[:k].copy()
+        return frozen_columns(
+            self._vals[:k].copy(),
+            np.where(none, -1, self._labs[:k]),
+            none,
+            self._arr[:k].copy(),
+        )
 
     def __len__(self) -> int:
         return self.size

@@ -22,6 +22,7 @@ from typing import Any, Deque, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.columns import ResidentColumns, build_resident_columns
 from repro.core.reservoir import ReservoirSampler, SampleEntry
 from repro.utils.rng import RngLike
 
@@ -41,13 +42,13 @@ class WindowBuffer(ReservoirSampler):
         """Store the arrival; evict the oldest resident once full (FIFO)."""
         self.t += 1
         self.offers += 1
-        if len(self._payloads) >= self.capacity:
+        slot = self._size
+        if slot >= self.capacity:
             # Because fills are sequential and replacements preserve
             # position, the oldest resident is always at slot
             # ``(t - 1) % capacity``.
-            self._replace_at((self.t - 1) % self.capacity, payload)
-        else:
-            self._append(payload)
+            slot = (self.t - 1) % self.capacity
+        self._insert(slot, payload)
         return True
 
     def inclusion_probability(self, r: int, t: Optional[int] = None) -> float:
@@ -110,9 +111,13 @@ class ChainSampler(ReservoirSampler):
     supports_mutation_log = False  # storage lives inside the chains
 
     def _columns_key(self) -> Tuple:
-        """Chains mutate on every offer without touching the base-storage
+        """Chains mutate on every offer without touching the store's
         counters, so the columnar-view cache keys on the stream position."""
         return (self.t,)
+
+    def _build_columns(self) -> ResidentColumns:
+        """One pass over the chain heads (the array store stays empty)."""
+        return build_resident_columns(self.payloads(), self.arrival_indices())
 
     def __init__(self, capacity: int, window: int, rng: RngLike = None) -> None:
         super().__init__(capacity, rng)
@@ -172,6 +177,9 @@ class ChainSampler(ReservoirSampler):
     def arrival_indices(self) -> np.ndarray:
         """Arrival indices of the current samples."""
         return np.asarray([e.arrival for e in self.entries()], dtype=np.int64)
+
+    # The inherited one reads the array store, which chains leave empty.
+    global_arrivals = arrival_indices
 
     @property
     def size(self) -> int:

@@ -36,11 +36,12 @@ whether the application's horizon is in seconds or in arrivals — the
 from __future__ import annotations
 
 import math
-from typing import Any, List, Optional
+from typing import Any, Optional
 
 import numpy as np
 
 from repro.core.reservoir import ReservoirSampler
+from repro.core.timestamped import _run_decay
 from repro.utils.rng import RngLike
 
 __all__ = ["TimeDecayReservoir"]
@@ -63,6 +64,10 @@ class TimeDecayReservoir(ReservoirSampler):
         Seed or generator.
     """
 
+    #: Per-resident timestamps and the insertion probability each
+    #: resident was admitted with.
+    _side_columns = ("_ts", "_p_in")
+
     def __init__(
         self,
         lam_time: float,
@@ -82,8 +87,6 @@ class TimeDecayReservoir(ReservoirSampler):
         self.rate_memory = float(rate_memory)
         self.now: float = 0.0
         self._mean_gap: Optional[float] = None  # EWMA of interarrival gaps
-        self._timestamps: List[float] = []
-        self._insert_probs: List[float] = []
 
     def _extra_state(self) -> dict:
         return {
@@ -91,16 +94,16 @@ class TimeDecayReservoir(ReservoirSampler):
             "rate_memory": self.rate_memory,
             "now": self.now,
             "mean_gap": self._mean_gap,
-            "timestamps": [float(s) for s in self._timestamps],
-            "insert_probs": [float(p) for p in self._insert_probs],
+            "timestamps": self._ts[: self._size].tolist(),
+            "insert_probs": self._p_in[: self._size].tolist(),
         }
 
     def _restore_extra(self, state: dict) -> None:
         self.now = float(state["now"])
         gap = state["mean_gap"]
         self._mean_gap = None if gap is None else float(gap)
-        self._timestamps = [float(s) for s in state["timestamps"]]
-        self._insert_probs = [float(p) for p in state["insert_probs"]]
+        self._ts[: self._size] = state["timestamps"]
+        self._p_in[: self._size] = state["insert_probs"]
 
     @classmethod
     def _construct_from_state(cls, state: dict) -> "TimeDecayReservoir":
@@ -138,29 +141,6 @@ class TimeDecayReservoir(ReservoirSampler):
     # Sampling
     # ------------------------------------------------------------------ #
 
-    def _run_decay(self, delta: float) -> None:
-        """Time-decay ejections for the elapsed gap (as in the hybrid
-        sampler): K ~ Poisson(lam * delta * n) F-gated rounds."""
-        mean = self.lam_time * delta * self.capacity
-        if mean <= 0.0:
-            return
-        for _ in range(int(self.rng.poisson(mean))):
-            size = len(self._payloads)
-            if size == 0:
-                break
-            if self.rng.random() < size / self.capacity:
-                victim = int(self.rng.integers(size))
-                self._payloads[victim] = self._payloads[-1]
-                self._arrivals[victim] = self._arrivals[-1]
-                self._timestamps[victim] = self._timestamps[-1]
-                self._insert_probs[victim] = self._insert_probs[-1]
-                self._payloads.pop()
-                self._arrivals.pop()
-                self._timestamps.pop()
-                self._insert_probs.pop()
-                self.ejections += 1
-                self._record_op(("compact",))
-
     def offer_at(self, payload: Any, timestamp: float) -> bool:
         """Process an arrival stamped ``timestamp`` (non-decreasing)."""
         timestamp = float(timestamp)
@@ -174,19 +154,16 @@ class TimeDecayReservoir(ReservoirSampler):
         self.now = timestamp
         self.t += 1
         self.offers += 1
-        self._run_decay(delta)
+        _run_decay(self, delta)
         p_in = self.current_insertion_probability()
         if self.rng.random() >= p_in:
             return False
-        if self.is_full:
-            victim = int(self.rng.integers(len(self._payloads)))
-            self._replace_at(victim, payload)
-            self._timestamps[victim] = timestamp
-            self._insert_probs[victim] = p_in
-        else:
-            self._append(payload)
-            self._timestamps.append(timestamp)
-            self._insert_probs.append(p_in)
+        slot = self._size
+        if slot >= self.capacity:
+            slot = int(self.rng.integers(slot))
+        self._insert(slot, payload)
+        self._ts[slot] = timestamp
+        self._p_in[slot] = p_in
         return True
 
     def offer(self, payload: Any) -> bool:
@@ -199,7 +176,7 @@ class TimeDecayReservoir(ReservoirSampler):
 
     def timestamps(self) -> np.ndarray:
         """Wall-clock timestamps of the residents."""
-        return np.asarray(self._timestamps, dtype=np.float64)
+        return self._ts[: self._size].copy()
 
     def time_ages(self) -> np.ndarray:
         """Per-resident elapsed time ``now - timestamp``."""
@@ -211,7 +188,7 @@ class TimeDecayReservoir(ReservoirSampler):
 
         The insertion probability of *this very resident* was recorded at
         insertion time, so the weights are exact across rate changes."""
-        probs = np.asarray(self._insert_probs, dtype=np.float64)
+        probs = self._p_in[: self._size]
         decay = np.exp(-self.lam_time * self.time_ages())
         return 1.0 / (probs * decay)
 

@@ -44,7 +44,7 @@ is O(1).
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, List, Optional
+from typing import Any, Iterable, Optional
 
 import numpy as np
 
@@ -52,6 +52,25 @@ from repro.core.reservoir import ReservoirSampler
 from repro.utils.rng import RngLike
 
 __all__ = ["TimestampedExponentialReservoir"]
+
+
+def _run_decay(sampler: ReservoirSampler, delta: float) -> None:
+    """Apply K ~ Poisson(lam_time * delta * n) F(t)-gated ejection rounds.
+
+    ``sampler`` has a ``lam_time`` rate. The F-gate (eject only with
+    probability size/capacity) mirrors Algorithm 2.1's pre-fill
+    behaviour; once full it is a certainty. Each round that passes the
+    gate swap-removes one uniform resident.
+    """
+    mean = sampler.lam_time * delta * sampler.capacity
+    if mean <= 0.0:
+        return
+    for _ in range(int(sampler.rng.poisson(mean))):
+        size = sampler.size
+        if size == 0:
+            break
+        if sampler.rng.random() < size / sampler.capacity:
+            sampler._eject_random(1)
 
 
 class TimestampedExponentialReservoir(ReservoirSampler):
@@ -76,6 +95,9 @@ class TimestampedExponentialReservoir(ReservoirSampler):
     timestamps. Plain :meth:`offer` assumes unit spacing.
     """
 
+    #: Per-resident wall-clock timestamps.
+    _side_columns = ("_ts",)
+
     def __init__(
         self, lam_time: float, capacity: int, rng: RngLike = None
     ) -> None:
@@ -85,18 +107,17 @@ class TimestampedExponentialReservoir(ReservoirSampler):
             raise ValueError(f"lam_time must be > 0, got {lam_time}")
         self.lam_time = lam_time
         self.now: float = 0.0
-        self._timestamps: List[float] = []  # parallel to payload slots
 
     def _extra_state(self) -> dict:
         return {
             "lam_time": self.lam_time,
             "now": self.now,
-            "timestamps": [float(s) for s in self._timestamps],
+            "timestamps": self._ts[: self._size].tolist(),
         }
 
     def _restore_extra(self, state: dict) -> None:
         self.now = float(state["now"])
-        self._timestamps = [float(s) for s in state["timestamps"]]
+        self._ts[: self._size] = state["timestamps"]
 
     @classmethod
     def _construct_from_state(
@@ -116,31 +137,6 @@ class TimestampedExponentialReservoir(ReservoirSampler):
             raise ValueError("arrival_rate and lam_time must be > 0")
         return max(1, math.ceil(arrival_rate / lam_time))
 
-    def _run_decay(self, delta: float) -> None:
-        """Apply K ~ Poisson(lam * delta * n) F(t)-gated ejection rounds.
-
-        The F-gate (eject only with probability size/capacity) mirrors
-        Algorithm 2.1's pre-fill behaviour; once full it is a certainty.
-        """
-        mean = self.lam_time * delta * self.capacity
-        if mean <= 0.0:
-            return
-        rounds = int(self.rng.poisson(mean))
-        for _ in range(rounds):
-            size = len(self._payloads)
-            if size == 0:
-                break
-            if self.rng.random() < size / self.capacity:
-                victim = int(self.rng.integers(size))
-                self._payloads[victim] = self._payloads[-1]
-                self._arrivals[victim] = self._arrivals[-1]
-                self._timestamps[victim] = self._timestamps[-1]
-                self._payloads.pop()
-                self._arrivals.pop()
-                self._timestamps.pop()
-                self.ejections += 1
-                self._record_op(("compact",))
-
     def offer_at(self, payload: Any, timestamp: float) -> bool:
         """Process an arrival stamped ``timestamp`` (non-decreasing)."""
         timestamp = float(timestamp)
@@ -152,14 +148,12 @@ class TimestampedExponentialReservoir(ReservoirSampler):
         self.now = timestamp
         self.t += 1
         self.offers += 1
-        self._run_decay(delta)
-        if self.is_full:
-            victim = int(self.rng.integers(len(self._payloads)))
-            self._replace_at(victim, payload)
-            self._timestamps[victim] = timestamp
-        else:
-            self._append(payload)
-            self._timestamps.append(timestamp)
+        _run_decay(self, delta)
+        slot = self._size
+        if slot >= self.capacity:
+            slot = int(self.rng.integers(slot))
+        self._insert(slot, payload)
+        self._ts[slot] = timestamp
         return True
 
     def offer(self, payload: Any) -> bool:
@@ -174,7 +168,7 @@ class TimestampedExponentialReservoir(ReservoirSampler):
         Statistically equivalent to offering point by point — the Poisson
         decay-round counts for every inter-arrival gap, the ejection-gate
         coins, and the victim positions are all pre-drawn in bulk, and the
-        per-point work collapses to plain list operations. Timestamps must
+        per-point work collapses to plain store operations. Timestamps must
         be non-decreasing and start at or after :attr:`now`. Returns the
         stored count (every arrival is stored; see :meth:`extend`).
         """
@@ -197,69 +191,47 @@ class TimestampedExponentialReservoir(ReservoirSampler):
         self._mark_compact()
         return len(block)
 
-    def _offer_block(self, block: List[Any]) -> int:
+    def _admit_block(self, pay: Any, glob: Optional[np.ndarray]) -> int:
         """Unit-spaced batch ingestion (timestamp advances by 1 per point)."""
-        stamps = self.now + np.arange(1, len(block) + 1, dtype=np.float64)
-        self._offer_block_at(block, stamps)
-        return len(block)
+        stamps = self.now + np.arange(1, len(pay) + 1, dtype=np.float64)
+        self._offer_block_at(pay, stamps)
+        return len(pay)
 
-    def _offer_block_at(self, block: List[Any], stamps: np.ndarray) -> None:
-        """Shared batched core: pre-drawn randomness, per-point list ops."""
+    def _offer_block_at(self, block: Any, stamps: np.ndarray) -> None:
+        """Shared batched core: pre-drawn randomness, per-point store ops.
+
+        The decay rounds of every gap, their gate coins and victims, and
+        the insert victims are drawn up front; a round that finds the
+        store empty discards its remaining draws.
+        """
         deltas = np.diff(stamps, prepend=self.now)
         rounds = self.rng.poisson(self.lam_time * deltas * self.capacity)
         total_rounds = int(rounds.sum())
         gate_u = self.rng.random(total_rounds)
         round_victim_u = self.rng.random(total_rounds)
         insert_victim_u = self.rng.random(len(block))
-        payloads = self._payloads
-        arrivals = self._arrivals
-        timestamps = self._timestamps
         n = self.capacity
-        t = self.t
-        insertions = self.insertions
-        ejections = self.ejections
         cursor = 0  # position in the pre-drawn per-round arrays
         for k, payload in enumerate(block):
-            t += 1
-            remaining = int(rounds[k])
-            while remaining:
-                size = len(payloads)
-                if size == 0:
-                    cursor += remaining  # unused draws are discarded
-                    break
+            self.t += 1
+            end = cursor + int(rounds[k])
+            while cursor < end and self._size:
+                size = self._size
                 if gate_u[cursor] < size / n:
-                    victim = int(round_victim_u[cursor] * size)
-                    payloads[victim] = payloads[-1]
-                    arrivals[victim] = arrivals[-1]
-                    timestamps[victim] = timestamps[-1]
-                    payloads.pop()
-                    arrivals.pop()
-                    timestamps.pop()
-                    ejections += 1
+                    self._swap_remove(int(round_victim_u[cursor] * size))
                 cursor += 1
-                remaining -= 1
-            size = len(payloads)
-            if size >= n:
-                victim = int(insert_victim_u[k] * size)
-                arrivals[victim] = t
-                payloads[victim] = payload
-                timestamps[victim] = float(stamps[k])
-                insertions += 1
-                ejections += 1
-            else:
-                payloads.append(payload)
-                arrivals.append(t)
-                timestamps.append(float(stamps[k]))
-                insertions += 1
-        self.t = t
+            cursor = end
+            slot = self._size
+            if slot >= n:
+                slot = int(insert_victim_u[k] * slot)
+            self._insert(slot, payload)
+            self._ts[slot] = stamps[k]
         self.offers += len(block)
-        self.insertions = insertions
-        self.ejections = ejections
         self.now = float(stamps[-1])
 
     def timestamps(self) -> np.ndarray:
         """Wall-clock timestamps of the residents."""
-        return np.asarray(self._timestamps, dtype=np.float64)
+        return self._ts[: self._size].copy()
 
     def time_ages(self) -> np.ndarray:
         """Per-resident elapsed time ``now - timestamp``."""

@@ -16,7 +16,7 @@ Two implementations of classic uniform reservoir maintenance:
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -34,50 +34,51 @@ class UnbiasedReservoir(ReservoirSampler):
         """Algorithm R step: accept with probability ``n/t``, uniform victim."""
         self.t += 1
         self.offers += 1
-        if len(self._payloads) < self.capacity:
-            self._append(payload)
+        size = self._size
+        if size < self.capacity:
+            self._insert(size, payload)
             return True
         if self.rng.random() < self.capacity / self.t:
-            self._replace_random(payload)
+            self._insert(int(self.rng.integers(size)), payload)
             return True
         return False
 
-    def _offer_block(self, block: List[Any]) -> int:
+    def _admit_block(self, pay: Any, glob: Optional[np.ndarray]) -> int:
         """Vectorized Algorithm R over a block (same distribution).
 
-        The first ``n`` points append deterministically; for the rest the
-        block's acceptance coins (``u < n/t``) and victim slots are drawn
-        in bulk, and per slot only the last accepted writer is
-        materialized.
+        The first ``n - size`` points append deterministically; for the
+        rest the block's acceptance coins (``u < n/t``) and victim slots
+        are drawn in bulk, and per slot only the last accepted writer is
+        written.
         """
-        total = len(block)
-        idx = 0
-        while idx < total and len(self._payloads) < self.capacity:
-            self.t += 1
-            self.offers += 1
-            self._append(block[idx])
-            idx += 1
-        stored = idx
-        b = total - idx
-        if b == 0:
-            return stored
         n = self.capacity
+        b = len(pay)
         t0 = self.t
-        u = self.rng.random(b)
-        accepted = np.nonzero(u * (t0 + np.arange(1, b + 1)) < n)[0]
-        m = len(accepted)
-        if m:
-            victims = self.rng.integers(0, n, size=m)
-            slots, rev_pos = np.unique(victims[::-1], return_index=True)
-            writers = accepted[m - 1 - rev_pos]
-            for slot, w in zip(slots.tolist(), writers.tolist()):
-                self._payloads[slot] = block[idx + w]
-                self._arrivals[slot] = t0 + w + 1
-            self.insertions += m
-            self.ejections += m
+        local = t0 + 1 + np.arange(b, dtype=np.int64)
+        s0 = self._size
+        fill = min(b, n - s0)
+        if fill:
+            if s0 == 0:
+                self._allocate()
+            self._write(np.arange(s0, s0 + fill), np.arange(fill), pay,
+                        local, local)
+            self._size = s0 + fill
+            self.insertions += fill
+        m = 0
+        if fill < b:
+            u = self.rng.random(b - fill)
+            accepted = fill + np.nonzero(u * local[fill:] < n)[0]
+            m = len(accepted)
+            if m:
+                victims = self.rng.integers(0, n, size=m)
+                slots, rev_pos = np.unique(victims[::-1], return_index=True)
+                self._write(slots, accepted[m - 1 - rev_pos], pay,
+                            local, local)
+                self.insertions += m
+                self.ejections += m
         self.t = t0 + b
         self.offers += b
-        return stored + m
+        return fill + m
 
     def inclusion_probability(self, r: int, t: Optional[int] = None) -> float:
         """Property 2.1: ``p(r, t) = min(1, n / t)`` — independent of ``r``."""
@@ -155,19 +156,20 @@ class SkipUnbiasedReservoir(UnbiasedReservoir):
         """Algorithm R distribution via pre-drawn geometric skips."""
         self.t += 1
         self.offers += 1
-        if len(self._payloads) < self.capacity:
-            self._append(payload)
+        size = self._size
+        if size < self.capacity:
+            self._insert(size, payload)
             return True
         if self._skip < 0:
             self._skip = self._draw_skip()
         if self._skip == 0:
-            self._replace_random(payload)
+            self._insert(int(self.rng.integers(size)), payload)
             self._skip = -1
             return True
         self._skip -= 1
         return False
 
-    def _offer_block(self, block: List[Any]) -> int:
+    def _admit_block(self, pay: Any, glob: Optional[np.ndarray]) -> int:
         """Algorithm R over the block; a pending skip is dropped first."""
         self._skip = -1
-        return super()._offer_block(block)
+        return super()._admit_block(pay, glob)

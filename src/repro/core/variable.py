@@ -138,19 +138,10 @@ class VariableReservoir(ExponentialReservoir):
         self.offers += 1
         accepted = self.rng.random() < self.p_in
         if accepted:
+            slot = size
             if size == self.capacity or self.rng.random() < fill:
                 slot = int(self.rng.integers(size))
-                self.ejections += 1
-                self._record_op(("replace", slot))
-            else:
-                if size == 0:
-                    self._allocate()
-                slot = size
-                self._record_op(("append", slot))
-            self.insertions += 1
-            self._store(slot, payload)
-            if slot == size:
-                self._size = size + 1
+            self._insert(slot, payload)
         if self._size == self.capacity and self.p_in > self.target_p_in:
             self._reduce_phase()
         return accepted

@@ -118,26 +118,19 @@ def class_separation(values: np.ndarray, labels: np.ndarray) -> float:
 def snapshot(sampler: ReservoirSampler) -> ReservoirSnapshot:
     """Capture a labeled reservoir's state and evolution metrics.
 
-    Payloads must be :class:`~repro.streams.point.StreamPoint`; unlabeled
-    residents are excluded from the label-dependent metrics but a reservoir
-    with no labeled resident at all raises (the metrics would be vacuous).
+    Payloads must be :class:`~repro.streams.point.StreamPoint`; the
+    snapshot reads the resident view and leaves out unlabeled residents
+    (its ``None`` mask), and a reservoir with no labeled resident at all
+    raises (the metrics would be vacuous).
     """
-    rows = []
-    labels = []
-    ages = []
     t = sampler.t
-    for entry in sampler.entries():
-        point = entry.payload
-        if point.label is None:
-            continue
-        rows.append(point.values)
-        labels.append(point.label)
-        ages.append(t - entry.arrival)
-    if not rows:
+    columns = sampler.resident_columns()
+    labeled = ~columns.none
+    if not labeled.any():
         raise ValueError("reservoir holds no labeled residents to snapshot")
-    values = np.vstack(rows)
-    labels_arr = np.asarray(labels, dtype=np.int64)
-    ages_arr = np.asarray(ages, dtype=np.int64)
+    values = columns.values[labeled]
+    labels_arr = columns.labels[labeled]
+    ages_arr = t - columns.arrivals[labeled]
     return ReservoirSnapshot(
         t=t,
         values=values,

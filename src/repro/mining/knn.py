@@ -35,8 +35,6 @@ from repro.streams.point import StreamPoint
 
 __all__ = ["ReservoirKnnClassifier"]
 
-_UNLABELED = -1
-
 
 class ReservoirKnnClassifier:
     """k-nearest-neighbor classifier backed by a reservoir sample.
@@ -66,6 +64,7 @@ class ReservoirKnnClassifier:
         self.k = k
         self._matrix: Optional[np.ndarray] = None  # capacity x d mirror
         self._labels: Optional[np.ndarray] = None
+        self._labeled: Optional[np.ndarray] = None  # label is not None
         self._rows = 0
         self._synced_insertions = -1
         self._synced_ejections = -1
@@ -82,7 +81,6 @@ class ReservoirKnnClassifier:
         self._rows = columns.size
         if self._rows == 0:
             self._matrix = None
-            self._labels = None
         else:
             dim = columns.values.shape[1]
             if (
@@ -90,22 +88,25 @@ class ReservoirKnnClassifier:
                 or self._matrix.shape[1] != dim
                 or self._matrix.shape[0] < self.sampler.capacity
             ):
-                cap = max(self.sampler.capacity, self._rows)
-                self._matrix = np.empty((cap, dim))
-                self._labels = np.empty(cap, dtype=np.int64)
+                self._allocate(max(self.sampler.capacity, self._rows), dim)
             self._matrix[: self._rows] = columns.values
             self._labels[: self._rows] = columns.labels
+            self._labeled[: self._rows] = ~columns.none
         self._synced_insertions = self.sampler.insertions
         self._synced_ejections = self.sampler.ejections
 
+    def _allocate(self, rows: int, dim: int) -> None:
+        self._matrix = np.empty((rows, dim))
+        self._labels = np.empty(rows, dtype=np.int64)
+        self._labeled = np.empty(rows, dtype=np.bool_)
+
     def _write_row(self, slot: int, point: StreamPoint) -> None:
         if self._matrix is None:
-            dim = point.dimensions
-            cap = max(self.sampler.capacity, 1)
-            self._matrix = np.empty((cap, dim))
-            self._labels = np.empty(cap, dtype=np.int64)
+            self._allocate(max(self.sampler.capacity, 1), point.dimensions)
         self._matrix[slot] = point.values
-        self._labels[slot] = _UNLABELED if point.label is None else point.label
+        # An unlabeled row reads -1, as in the resident view.
+        self._labeled[slot] = point.label is not None
+        self._labels[slot] = -1 if point.label is None else point.label
 
     def _apply_ops(self, point: StreamPoint) -> None:
         """Fold the mutations of offering ``point`` into the mirror.
@@ -152,7 +153,7 @@ class ReservoirKnnClassifier:
             return None
         matrix = self._matrix[: self._rows]
         labels = self._labels[: self._rows]
-        labeled = labels != _UNLABELED
+        labeled = self._labeled[: self._rows]
         if not np.any(labeled):
             return None
         diffs = matrix - point.values

@@ -208,7 +208,7 @@ class DurableReservoir:
             writer.close()
         self._writers = {}
 
-    def _append(self, stream: str, block: WalBlock) -> None:
+    def _journal(self, stream: str, block: WalBlock) -> None:
         self._seq += 1
         size = self._writers[stream].append(self._seq, block)
         self._records_in_generation += 1
@@ -216,7 +216,7 @@ class DurableReservoir:
 
     def _journal_dispatch(self, w: int, payloads, globs) -> None:
         """Dispatch listener: journal a shard block before it is ingested."""
-        self._append(self._streams[w], WalBlock("s", payloads, globs))
+        self._journal(self._streams[w], WalBlock("s", payloads, globs))
 
     # ------------------------------------------------------------------ #
     # Ingestion
@@ -234,7 +234,7 @@ class DurableReservoir:
         if self._sharded:
             stored = self.sampler.offer(payload)
         else:
-            self._append("main", WalBlock("o", [payload]))
+            self._journal("main", WalBlock("o", [payload]))
             stored = self.sampler.offer(payload)
         self._maybe_checkpoint()
         return stored
@@ -253,7 +253,7 @@ class DurableReservoir:
             # The dispatch listener journals each shard's sub-block.
             stored = self.sampler.offer_many(block)
         else:
-            self._append("main", WalBlock("b", block))
+            self._journal("main", WalBlock("b", block))
             stored = self.sampler.offer_many(block)
         self._maybe_checkpoint()
         return stored

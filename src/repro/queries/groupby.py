@@ -136,8 +136,9 @@ class GroupByEstimator:
 
         Per-resident HT weights and query values come from the queries'
         columnar ``h``; per-group totals are masked reductions. The
-        default key groups by the label column (``-1`` decodes back to
-        ``None``, groups in ascending label order); a custom key is
+        default key groups by the label column (rows the ``None`` mask
+        marks form the group ``None``, listed first, then the labels in
+        ascending order); a custom key is
         applied to each supported resident's payload only to pick its
         group (groups in order of first appearance).
         """
@@ -164,8 +165,13 @@ class GroupByEstimator:
                 * weights
             )
         if self.key is label_key:
-            uniques, codes = np.unique(labels, return_inverse=True)
-            keys = [None if lab < 0 else int(lab) for lab in uniques]
+            # Unlabeled rows get their own code 0 (key None) from the
+            # mask, so a real label -1 keeps its key.
+            none = columns.none[support]
+            uniques, inverse = np.unique(labels[~none], return_inverse=True)
+            codes = np.zeros(len(support), dtype=np.int64)
+            codes[~none] = inverse + 1
+            keys = [None] + uniques.tolist()
         else:
             payloads = self.sampler.payloads()
             index: Dict[Hashable, int] = {}
@@ -179,6 +185,8 @@ class GroupByEstimator:
         groups: Dict[Hashable, Dict[str, Any]] = {}
         for code, key in enumerate(keys):
             mask = codes == code
+            if not mask.any():
+                continue  # no unlabeled row
             groups[key] = {
                 "num": num_rows[mask].sum(axis=0),
                 "den": float(den_rows[mask].sum())

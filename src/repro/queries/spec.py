@@ -47,8 +47,8 @@ __all__ = [
 
 
 #: The columnar ``h``: resident columns ``(values (k, d) float64, labels
-#: (k,) int64, -1 = unlabeled)`` to the ``(k, output_dim)`` matrix of
-#: ``h(X_r)``, one row per resident.
+#: (k,) int64; an unlabeled row reads -1)`` to the ``(k, output_dim)``
+#: matrix of ``h(X_r)``, one row per resident.
 ColumnarH = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 

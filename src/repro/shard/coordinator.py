@@ -41,18 +41,19 @@ from typing import Any, Callable, Dict, Iterable, List, Optional
 
 import numpy as np
 
-from repro.core.biased import (
-    ExponentialReservoir,
-    _as_payloads,
-    _object_array,
-)
+from repro.core.biased import ExponentialReservoir
 from repro.core.columns import (
     ResidentColumns,
     build_resident_columns,
     frozen_columns,
 )
 from repro.core.merge import fold_exponential_reservoirs
-from repro.core.reservoir import SNAPSHOT_VERSION, SampleEntry
+from repro.core.reservoir import (
+    SNAPSHOT_VERSION,
+    SampleEntry,
+    _as_payloads,
+    _object_array,
+)
 from repro.core.space_constrained import SpaceConstrainedReservoir
 from repro.shard.partition import (
     HashByKeyPartitioner,
@@ -362,6 +363,7 @@ class ShardedReservoir:
             columns = frozen_columns(
                 np.concatenate([c.values for c in parts]),
                 np.concatenate([c.labels for c in parts]),
+                np.concatenate([c.none for c in parts]),
                 np.concatenate([s.global_arrivals() for s in samplers]),
             )
         else:
@@ -371,7 +373,9 @@ class ShardedReservoir:
 
     @property
     def size(self) -> int:
-        return len(self.entries())
+        """Residents across all shards (flushes buffers)."""
+        self.flush()
+        return sum(w.sampler.size for w in self._workers)
 
     @property
     def is_full(self) -> bool:

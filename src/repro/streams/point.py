@@ -3,7 +3,7 @@
 :class:`StreamPoint` is one record. :class:`PointBlock` holds a block of
 them as four arrays (arrival indices, labels, a ``None``-label mask and
 a ``(b, d)`` feature matrix): the form the CSV reader parses, WAL
-points records carry, and the Algorithm 2.1 array store keeps, so file
+points records carry, and the samplers' array store keeps, so file
 replay builds no Python object per row.
 """
 

@@ -10,7 +10,8 @@ resident payloads one :class:`~repro.streams.point.StreamPoint` at a time:
   estimator (one ``h(point)`` call per resident);
 * :func:`oracle_groupby` — the per-point GROUP BY accumulator for any key;
 * the payload loops of the kNN mirror, the anomaly scorer, the cluster
-  tracker and the drift detector (:data:`PAYLOAD_LOOPS`).
+  tracker and the drift detector (:data:`PAYLOAD_LOOPS`), and of the
+  Figure 9 snapshot (:func:`evolution_snapshot`).
 
 The columnar engine must reproduce the estimator bit for bit, and the
 mining readers must give bitwise equal predictions, scores and
@@ -26,6 +27,11 @@ import numpy as np
 from repro.mining.anomaly import ReservoirAnomalyScorer
 from repro.mining.cluster_tracking import ClusterTracker
 from repro.mining.drift import ReservoirDriftDetector
+from repro.mining.evolution import (
+    ReservoirSnapshot,
+    class_separation,
+    neighborhood_label_purity,
+)
 from repro.mining.knn import ReservoirKnnClassifier
 from repro.queries import EstimateResult
 from repro.queries.spec import (
@@ -185,7 +191,6 @@ def knn_rebuild(self) -> None:
     self._rows = len(payloads)
     if self._rows == 0:
         self._matrix = None
-        self._labels = None
     else:
         dim = payloads[0].dimensions
         if (
@@ -193,11 +198,10 @@ def knn_rebuild(self) -> None:
             or self._matrix.shape[1] != dim
             or self._matrix.shape[0] < self.sampler.capacity
         ):
-            cap = max(self.sampler.capacity, self._rows)
-            self._matrix = np.empty((cap, dim))
-            self._labels = np.empty(cap, dtype=np.int64)
+            self._allocate(max(self.sampler.capacity, self._rows), dim)
         for i, point in enumerate(payloads):
             self._matrix[i] = point.values
+            self._labeled[i] = point.label is not None
             self._labels[i] = -1 if point.label is None else point.label
     self._synced_insertions = self.sampler.insertions
     self._synced_ejections = self.sampler.ejections
@@ -248,6 +252,35 @@ def drift_subsample(self, values, weights, rng):
     return (
         np.vstack([values[i] for i in idx]),
         np.asarray([weights[i] for i in idx]),
+    )
+
+
+def evolution_snapshot(sampler) -> ReservoirSnapshot:
+    """``repro.mining.evolution.snapshot``: one pass over ``entries()``."""
+    rows = []
+    labels = []
+    ages = []
+    t = sampler.t
+    for entry in sampler.entries():
+        point = entry.payload
+        if point.label is None:
+            continue
+        rows.append(point.values)
+        labels.append(point.label)
+        ages.append(t - entry.arrival)
+    if not rows:
+        raise ValueError("reservoir holds no labeled residents to snapshot")
+    values = np.vstack(rows)
+    labels_arr = np.asarray(labels, dtype=np.int64)
+    ages_arr = np.asarray(ages, dtype=np.int64)
+    return ReservoirSnapshot(
+        t=t,
+        values=values,
+        labels=labels_arr,
+        ages=ages_arr,
+        purity=neighborhood_label_purity(values, labels_arr),
+        separation=class_separation(values, labels_arr),
+        staleness=float(ages_arr.mean() / t) if t else float("nan"),
     )
 
 

@@ -148,3 +148,27 @@ class TestMirrorConsistency:
             clf.observe(p)
         # Buffer holds only the last 50 points -> all label 1.
         assert clf.predict(StreamPoint(9999, np.array([0.0, 0.0]))) == 1
+
+
+class TestNegativeLabels:
+    """Residents labelled ``-1`` are labeled: the mirror's mask, not the
+    label's value, marks unlabeled rows."""
+
+    @pytest.mark.parametrize("via", ["observe", "rebuild"])
+    def test_predicts_minus_one(self, via):
+        sampler = ExponentialReservoir(capacity=10, rng=0)
+        clf = ReservoirKnnClassifier(sampler)
+        points = [StreamPoint(i + 1, np.full(2, i), -1) for i in range(5)]
+        for p in points:
+            if via == "observe":
+                clf.observe(p)
+            else:
+                sampler.offer(p)  # out of band: the mirror is rebuilt
+        assert clf.predict(StreamPoint(9, np.zeros(2))) == -1
+
+    def test_unlabeled_neighbour_skipped_not_minus_one(self):
+        clf = ReservoirKnnClassifier(UnbiasedReservoir(10, rng=0), k=1)
+        clf.observe(StreamPoint(1, np.array([0.0, 0.0])))  # unlabeled
+        clf.observe(StreamPoint(2, np.array([1.0, 1.0]), label=-1))
+        clf.observe(StreamPoint(3, np.array([9.0, 9.0]), label=4))
+        assert clf.predict(StreamPoint(4, np.array([0.1, 0.0]))) == -1

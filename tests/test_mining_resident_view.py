@@ -1,9 +1,9 @@
 """Mining readers on the resident view vs their payload loops.
 
-The kNN mirror, the anomaly scorer, the cluster tracker and the drift
-detector read the sampler's columnar resident view. Each must give the
-same bits as the payload loop it replaced (kept in
-``tests/query_oracle.py``): seeded runs with the loops patched in are
+The kNN mirror, the anomaly scorer, the cluster tracker, the drift
+detector and the Figure 9 snapshot read the sampler's columnar resident
+view. Each must give the same bits as the payload loop it replaced (kept
+in ``tests/query_oracle.py``): seeded runs with the loops patched in are
 the reference. Residents arrive both per item and from
 :class:`~repro.streams.point.PointBlock` s, whose rows the array store
 keeps in its columns alone.
@@ -12,16 +12,23 @@ keeps in its columns alone.
 import numpy as np
 import pytest
 
-from repro.core import ExponentialReservoir, UnbiasedReservoir, VariableReservoir
+from repro.core import (
+    ChainSampler,
+    ExponentialReservoir,
+    UnbiasedReservoir,
+    VariableReservoir,
+)
 from repro.mining import (
     ClusterTracker,
     ReservoirAnomalyScorer,
     ReservoirDriftDetector,
     ReservoirKnnClassifier,
 )
+from repro.mining.evolution import snapshot
+from repro.shard import ShardedReservoir
 from repro.streams import EvolvingClusterStream, materialize
-from repro.streams.point import PointBlock
-from tests.query_oracle import PAYLOAD_LOOPS
+from repro.streams.point import PointBlock, StreamPoint
+from tests.query_oracle import PAYLOAD_LOOPS, evolution_snapshot
 
 FAMILIES = {
     "exponential": lambda: ExponentialReservoir(capacity=60, rng=3),
@@ -129,3 +136,39 @@ def test_cluster_checkpoints_match_payload_loop(family):
             want.sample_size,
         )
         np.testing.assert_array_equal(got.centers, want.centers)
+
+
+SNAPSHOT_FAMILIES = {
+    **FAMILIES,
+    "chain": lambda: ChainSampler(30, window=300, rng=3),
+    "sharded": lambda: ShardedReservoir(capacity=60, workers=2, rng=3),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SNAPSHOT_FAMILIES))
+def test_evolution_snapshot_matches_payload_loop(family):
+    """Figure 9's snapshot on the view is the entries loop, bit for bit,
+    with residents labelled ``-1`` kept and unlabeled ones left out."""
+    points = [
+        StreamPoint(
+            p.index,
+            p.values,
+            -1 if i % 5 == 0 else None if i % 7 == 0 else p.label,
+        )
+        for i, p in enumerate(_stream(length=1_000))
+    ]
+    sampler = SNAPSHOT_FAMILIES[family]()
+    _warm(sampler, points[:800])
+    for p in points[800:]:
+        sampler.offer(p)
+    current, reference = snapshot(sampler), evolution_snapshot(sampler)
+    assert -1 in current.labels.tolist()
+    assert current.t == reference.t
+    for field in ("values", "labels", "ages"):
+        got, want = getattr(current, field), getattr(reference, field)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+    for field in ("purity", "separation", "staleness"):
+        assert np.array_equal(
+            getattr(current, field), getattr(reference, field), equal_nan=True
+        )

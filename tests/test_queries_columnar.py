@@ -189,6 +189,28 @@ class TestResidentColumnsView:
         sharded.offer_many(make_stream(100, seed=9))
         assert sharded.resident_columns() is not columns
 
+    @pytest.mark.parametrize("family", ["serial", "chain", "sharded"])
+    def test_none_mask_marks_unlabeled_rows(self, family):
+        """The mask, not the label, tells ``None`` from a real ``-1``."""
+        sampler = {
+            "serial": lambda: UnbiasedReservoir(40, rng=0),
+            "chain": lambda: ChainSampler(10, window=40, rng=0),
+            "sharded": lambda: ShardedReservoir(capacity=40, workers=2, rng=0),
+        }[family]()
+        sampler.offer_many(
+            [
+                StreamPoint(i + 1, np.array([i, 0.5]), (None, -1, 3)[i % 3])
+                for i in range(60)
+            ]
+        )
+        columns = sampler.resident_columns()
+        payloads = sampler.payloads()
+        assert columns.none.tolist() == [p.label is None for p in payloads]
+        assert -1 in columns.labels[~columns.none].tolist()
+        assert np.all(columns.labels[columns.none] == -1)
+        with pytest.raises(ValueError):
+            columns.none[0] = True
+
     def test_columns_are_read_only(self):
         res = UnbiasedReservoir(10, rng=0)
         for point in make_stream(30, seed=5):

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core.biased import ExponentialReservoir
 from repro.core.sliding_window import WindowBuffer
 from repro.core.unbiased import UnbiasedReservoir
 from repro.queries.groupby import GroupByEstimator, label_key
 from repro.queries.spec import average_query, count_query, sum_query
+from repro.streams.point import PointBlock, StreamPoint
 from tests.conftest import make_points
 
 
@@ -120,3 +122,45 @@ class TestGroupByEstimator:
         groups = GroupByEstimator(res).estimate(sum_query(None, [0, 1]))
         for est in groups.values():
             assert est.estimate.shape == (2,)
+
+
+class TestNegativeLabels:
+    """The label column's ``None`` mask, not the sign, marks unlabeled
+    residents: negative labels are labels."""
+
+    @staticmethod
+    def _points(labels):
+        return [
+            StreamPoint(i + 1, np.array([i, -i]), label)
+            for i, label in enumerate(labels)
+        ]
+
+    def _groups(self, labels):
+        sampler = ExponentialReservoir(capacity=50, rng=0)
+        sampler.offer_many(self._points(labels))
+        return GroupByEstimator(sampler).estimate(count_query())
+
+    def test_minus_one_keeps_its_key(self):
+        groups = self._groups([-1] * 5)
+        assert list(groups) == [-1]
+        assert groups[-1].support == 5
+
+    def test_none_and_minus_one_are_two_groups(self):
+        groups = self._groups([None, -1, None, -1, -1, 3])
+        assert list(groups) == [None, -1, 3]
+        assert [g.support for g in groups.values()] == [2, 3, 1]
+
+    def test_minus_two_keeps_its_key(self):
+        groups = self._groups([-2, -2, 0])
+        assert list(groups) == [-2, 0]
+
+    def test_points_arriving_as_a_block(self):
+        sampler = ExponentialReservoir(capacity=50, rng=0)
+        points = self._points([None, -1, -1, 7])
+        sampler.offer_many(PointBlock.from_points(points))
+        groups = GroupByEstimator(sampler).estimate(count_query())
+        assert {k: g.support for k, g in groups.items()} == {
+            None: 1,
+            -1: 2,
+            7: 1,
+        }

@@ -113,6 +113,23 @@ class TestShardedFacade:
         batched.offer_many(points)  # one block == one flushed buffer
         assert singles.payloads() == batched.payloads()
 
+    def test_size_sums_workers_with_buffers_pending(self):
+        """``size``, ``len`` and ``is_full`` flush the per-item buffers
+        and count the workers' residents without boxing them."""
+        sharded = ShardedReservoir(capacity=42, workers=3, rng=0)
+        sharded.offer_many(range(20))
+        for i in range(20, 27):
+            sharded.offer(i)
+        assert any(sharded._buf_payloads)
+        size = sharded.size
+        assert size == len(sharded.entries())
+        assert not any(sharded._buf_payloads)
+        for i in range(27, 2000):
+            sharded.offer(i)
+        assert any(sharded._buf_payloads)
+        assert len(sharded) == len(sharded.entries()) == 42
+        assert sharded.is_full
+
     def test_hash_partitioner_routes_by_key(self):
         part = HashByKeyPartitioner(4)
         fac = ShardedReservoir(

@@ -128,3 +128,11 @@ class TestChainSamplerBaseApi:
         assert ages.shape[0] == cs.size
         assert (ages >= 0).all()
         assert (ages < 50).all()
+
+    def test_global_arrivals_are_the_chain_heads(self):
+        """Chains leave the shared array store empty; the global axis of
+        a stand-alone sampler is its arrival axis."""
+        cs = ChainSampler(5, window=50, rng=22)
+        cs.extend(range(200))
+        assert cs.global_arrivals().tolist() == cs.arrival_indices().tolist()
+        assert cs.global_arrivals().size == cs.size > 0

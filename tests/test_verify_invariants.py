@@ -89,15 +89,17 @@ class TestStateChecker:
     def test_detects_capacity_overflow(self):
         res = UnbiasedReservoir(10, rng=0)
         res.extend(range(20))
-        res._payloads.append("extra")  # corrupt the state on purpose
-        res._arrivals.append(res.t)
+        # Corrupt the state on purpose: one resident past capacity.
+        res._pay = np.append(res._pay, "extra")
+        res._arr = np.append(res._arr, res.t)
+        res._size += 1
         violations = check_state_invariants(res)
         assert any("capacity" in v for v in violations)
 
     def test_detects_bad_arrival_index(self):
         res = UnbiasedReservoir(10, rng=0)
         res.extend(range(20))
-        res._arrivals[0] = 999  # out of [1, t]
+        res._arr[0] = 999  # out of [1, t]
         violations = check_state_invariants(res)
         assert any("arrival indices" in v for v in violations)
 
