@@ -4,7 +4,9 @@ Times the full builder-query suite through the columnar
 :class:`~repro.queries.estimator.QueryEstimator` against the per-point
 estimator kept as the test oracle (``tests/query_oracle.py``), over the
 same seeded inputs (:func:`~repro.experiments.throughput.query_bench_inputs`),
-plus the incremental :class:`~repro.queries.exact.StreamHistory` oracle
+and the ten-query checkpoint mix evaluated after every block
+(:func:`~repro.experiments.throughput.checkpoint_mix_seconds`) through
+both, plus the incremental :class:`~repro.queries.exact.StreamHistory` oracle
 against its horizon scan. Numbers land under the ``"query"`` key of
 ``BENCH_throughput.json``.
 
@@ -12,7 +14,7 @@ Acceptance bars (full mode):
 
 * columnar estimation >= 5x the per-point oracle's estimates/sec, with
   bitwise identical estimates — the speedup is pure engine, not
-  approximation;
+  approximation (the checkpoint mix is held to the same bitwise bar);
 * the oracle's incremental checkpoint cost stays flat (sub-linear in the
   horizon) while the scan's tracks the 4x horizon growth.
 
@@ -26,6 +28,8 @@ import pytest
 from _bench_io import record_section
 
 from repro.experiments.throughput import (
+    checkpoint_mix_inputs,
+    checkpoint_mix_seconds,
     estimates_seconds,
     query_bench_inputs,
     query_throughput_report,
@@ -59,16 +63,36 @@ def versus_oracle(report):
     )
     n_estimates = rounds * len(queries)
     pairs = [(engine.estimate(q), oracle_estimate(sampler, q)) for q in queries]
+    # The ten-query mix after every block: one engine per run, reading
+    # its shared records, against the oracle on the same states.
+    blocks, mix = checkpoint_mix_inputs(
+        report["stream_length"], report["dimensions"]
+    )
+    mix_args = (report["capacity"], report["lam"], blocks, mix, repeats)
+    mix_s, mix_engine = checkpoint_mix_seconds(
+        lambda s: QueryEstimator(s).estimate, *mix_args
+    )
+    mix_oracle_s, mix_oracle = checkpoint_mix_seconds(
+        lambda s: lambda q: oracle_estimate(s, q), *mix_args
+    )
     return {
         "columnar_estimates_per_sec": n_estimates / columnar_s,
         "per_point_estimates_per_sec": n_estimates / oracle_s,
         "speedup": oracle_s / columnar_s,
-        "estimates_identical": all(
-            np.array_equal(a.estimate, b.estimate, equal_nan=True)
-            and a.sample_support == b.sample_support
-            for a, b in pairs
-        ),
+        "estimates_identical": identical(pairs),
+        "checkpoint_mix_estimates_per_sec": len(mix_engine) / mix_s,
+        "checkpoint_mix_speedup": mix_oracle_s / mix_s,
+        "checkpoint_mix_identical": identical(zip(mix_engine, mix_oracle)),
     }
+
+
+def identical(pairs):
+    """Bitwise equal estimates and supports (``nan`` equals ``nan``)."""
+    return all(
+        np.array_equal(a.estimate, b.estimate, equal_nan=True)
+        and a.sample_support == b.sample_support
+        for a, b in pairs
+    )
 
 
 @pytest.mark.benchmark(group="query-engine")
@@ -76,6 +100,14 @@ def test_columnar_estimates_bitwise_identical(versus_oracle):
     """The speedup must be free: both paths produce the same bits."""
     assert versus_oracle["estimates_identical"], (
         "columnar estimates diverged from the per-point oracle"
+    )
+
+
+@pytest.mark.benchmark(group="query-engine")
+def test_checkpoint_mix_bitwise_identical(versus_oracle):
+    """Sharing one record per horizon across the mix changes no bit."""
+    assert versus_oracle["checkpoint_mix_identical"], (
+        "checkpoint-mix estimates diverged from the per-point oracle"
     )
 
 
@@ -127,6 +159,11 @@ def test_record_bench_json(report, versus_oracle):
         f"query engine: columnar {est['columnar_estimates_per_sec']:,.0f} "
         f"est/s vs per-point oracle {est['per_point_estimates_per_sec']:,.0f} "
         f"est/s ({est['speedup']:.1f}x, bitwise identical)"
+    )
+    print(
+        f"checkpoint mix: {est['checkpoint_mix_estimates_per_sec']:,.0f} "
+        f"est/s ({est['checkpoint_mix_speedup']:.1f}x the per-point "
+        f"oracle, bitwise identical)"
     )
     print(
         f"exact oracle: checkpoint cost grew "

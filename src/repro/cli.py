@@ -559,7 +559,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         est, oracle = query["estimator"], query["oracle"]
         print(
             f"query engine: columnar "
-            f"{est['columnar_estimates_per_sec']:,.0f} est/s"
+            f"{est['columnar_estimates_per_sec']:,.0f} est/s, checkpoint "
+            f"mix {est['checkpoint_mix_estimates_per_sec']:,.0f} est/s"
         )
         print(
             f"exact oracle: checkpoint cost grew "

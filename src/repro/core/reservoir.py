@@ -674,7 +674,8 @@ class ReservoirSampler(ABC):
         ]
 
     def _columns_key(self) -> Tuple:
-        """Cache key for :meth:`resident_columns`.
+        """Cache key for :meth:`resident_columns` (and for the query
+        estimator's shared per-horizon records).
 
         Resident storage can only change through paths that bump
         ``insertions`` or ``ejections`` (:meth:`_insert`, the block

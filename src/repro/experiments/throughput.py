@@ -24,6 +24,8 @@ __all__ = [
     "durable_throughput_report",
     "query_bench_inputs",
     "estimates_seconds",
+    "checkpoint_mix_inputs",
+    "checkpoint_mix_seconds",
     "query_throughput_report",
     "write_throughput_json",
     "BENCH_JSON_NAME",
@@ -33,6 +35,9 @@ __all__ = [
 BENCH_JSON_NAME = "BENCH_throughput.json"
 
 PathLike = Union[str, Path]
+
+#: Points between two evaluations of the query benchmark's checkpoint mix.
+CHECKPOINT_BLOCK = 4096
 
 
 def _best_of(repeats: int, run: Callable[[], float]) -> float:
@@ -360,6 +365,84 @@ def estimates_seconds(
     return _best_of(repeats, run)
 
 
+def checkpoint_mix_inputs(
+    stream_length: int = 50_000, dimensions: int = 10
+) -> Tuple[List[Any], List[Any]]:
+    """The seeded blocks and query mix the checkpoint-mix timing uses.
+
+    Returns ``(blocks, queries)``: the :func:`query_bench_inputs` stream
+    cut into :class:`~repro.streams.point.PointBlock` s of
+    :data:`CHECKPOINT_BLOCK` points, and a ten-query mix (count, sum,
+    average, range count and class count, each at a short and a long
+    horizon) to evaluate after every block.
+    """
+    from repro.queries import (
+        average_query,
+        class_count_query,
+        count_query,
+        range_count_query,
+        sum_query,
+    )
+    from repro.streams import EvolvingClusterStream
+    from repro.streams.point import PointBlock
+
+    points = list(
+        EvolvingClusterStream(
+            length=stream_length, dimensions=dimensions, rng=7
+        )
+    )
+    blocks = [
+        PointBlock.from_points(points[start : start + CHECKPOINT_BLOCK])
+        for start in range(0, stream_length, CHECKPOINT_BLOCK)
+    ]
+    dims = range(dimensions)
+    queries: List[Any] = []
+    for horizon in (max(1, stream_length // 50), max(1, stream_length // 10)):
+        queries += [
+            count_query(horizon),
+            sum_query(horizon, dims),
+            average_query(horizon, dims),
+            range_count_query(horizon, (0, 1), (0.0, 0.0), (1.0, 1.0)),
+            class_count_query(horizon, 4),
+        ]
+    return blocks, queries
+
+
+def checkpoint_mix_seconds(
+    estimator_for: Callable[[ReservoirSampler], Callable[[Any], Any]],
+    capacity: int,
+    lam: float,
+    blocks: List[Any],
+    queries: List[Any],
+    repeats: int,
+) -> Tuple[float, List[Any]]:
+    """Best-of-``repeats`` wall time of evaluating ``queries`` after
+    every block, and the last run's results.
+
+    Each run offers ``blocks`` into a fresh seeded Algorithm 3.1
+    reservoir and calls ``estimator_for(sampler)`` once; the function it
+    returns estimates one query. Only the query evaluations are timed,
+    so every checkpoint is a new sampler state that the mix shares.
+    """
+    from repro.core import SpaceConstrainedReservoir
+
+    results: List[Any] = []
+
+    def run() -> float:
+        sampler = SpaceConstrainedReservoir(lam=lam, capacity=capacity, rng=7)
+        estimate = estimator_for(sampler)
+        results.clear()
+        elapsed = 0.0
+        for block in blocks:
+            sampler.offer_many(block)
+            start = time.perf_counter()
+            results.extend(estimate(query) for query in queries)
+            elapsed += time.perf_counter() - start
+        return elapsed
+
+    return _best_of(repeats, run), results
+
+
 def query_throughput_report(
     capacity: int = 1000,
     lam: float = 1e-4,
@@ -371,12 +454,17 @@ def query_throughput_report(
 ) -> Dict[str, Any]:
     """Columnar query-engine throughput, incremental vs scan oracle.
 
-    Two measurements over :func:`query_bench_inputs`:
+    Three measurements:
 
-    * **Estimator**: the builder-query suite is estimated
-      ``eval_rounds`` times against the same reservoir through
-      :class:`~repro.queries.estimator.QueryEstimator` and reported as
-      estimates/sec.
+    * **Estimator**: the builder-query suite of :func:`query_bench_inputs`
+      is estimated ``eval_rounds`` times against the same reservoir
+      through :class:`~repro.queries.estimator.QueryEstimator` and
+      reported as estimates/sec. Every round after the first reads the
+      estimator's shared records of that one state.
+    * **Checkpoint mix**: the ten-query mix of
+      :func:`checkpoint_mix_inputs` is estimated after every
+      :data:`CHECKPOINT_BLOCK`-point block (:func:`checkpoint_mix_seconds`),
+      so each checkpoint pays for its own support, ``p`` and rows once.
     * **Oracle**: the exact :class:`~repro.queries.exact.StreamHistory`
       answer for the whole-history average is timed at a quarter-stream
       checkpoint and at the full stream, via the incremental prefix
@@ -405,6 +493,15 @@ def query_throughput_report(
     columnar_s = estimates_seconds(
         QueryEstimator(sampler).estimate, queries, eval_rounds, repeats
     )
+    blocks, mix = checkpoint_mix_inputs(stream_length, dimensions)
+    mix_s, mix_results = checkpoint_mix_seconds(
+        lambda s: QueryEstimator(s).estimate,
+        capacity,
+        lam,
+        blocks,
+        mix,
+        repeats,
+    )
 
     # Oracle cost at a quarter-stream vs full-stream checkpoint. The
     # whole-history query makes the scan horizon grow with t while the
@@ -430,10 +527,13 @@ def query_throughput_report(
         "eval_rounds": eval_rounds,
         "quick": quick,
         "queries": [q.name for q in queries],
+        "checkpoint_block": CHECKPOINT_BLOCK,
+        "checkpoint_horizons": sorted({q.horizon for q in mix}),
         "estimator": {
             "columnar_estimates_per_sec": (
                 eval_rounds * len(queries) / columnar_s
             ),
+            "checkpoint_mix_estimates_per_sec": len(mix_results) / mix_s,
         },
         "oracle": {
             "checkpoints": checkpoints,

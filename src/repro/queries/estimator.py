@@ -17,19 +17,25 @@ proportionality constant of the inclusion model cancels, which is what
 makes estimation with :class:`~repro.core.variable.VariableReservoir`
 (whose constant is the current ``p_in``) robust.
 
-Evaluation is columnar: estimates run over the sampler's cached
-struct-of-arrays resident view
-(:meth:`~repro.core.reservoir.ReservoirSampler.resident_columns`) and each
-query's columnar ``h``, so a checkpoint that evaluates many queries pays
-one view and no Python work per resident. The view needs
-:class:`~repro.streams.point.StreamPoint` payloads; a count (``h = None``)
-reads only the arrival indices, so it also runs over other payloads.
+Evaluation is columnar and shared across a query mix. Every query at
+one checkpoint reads the same residents, the same ``t`` and the same
+``p(r, t)``; only ``h`` and the horizon differ. So the estimator keeps
+one record per horizon for the current sampler state: the support
+``c != 0``, its arrivals, ``p``, the weights ``c / p``, the variance
+factor ``(1 - p) / p^2`` and, filled only when a query with an ``h``
+needs them, the support's rows of the sampler's cached struct-of-arrays
+resident view
+(:meth:`~repro.core.reservoir.ReservoirSampler.resident_columns`). A
+query then pays its own ``h``, one ``weights @ h`` and its own variance
+sum. The records are dropped whenever the sampler's stream position, its
+resident-view key or the evaluation ``t`` changes. A count (``h = None``)
+reads only the arrival indices, so it also runs over non-point payloads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
@@ -69,6 +75,20 @@ class EstimateResult:
         return np.sqrt(np.maximum(self.variance, 0.0))
 
 
+@dataclass
+class _Support:
+    """What every query over one horizon shares at one sampler state."""
+
+    positions: np.ndarray  # storage rows with c != 0
+    arrivals: np.ndarray
+    coeffs: np.ndarray
+    weights: np.ndarray  # c / p
+    var_factor: np.ndarray  # ((1 - p) / p^2)[:, None]
+    # The support's value and label rows, gathered on first need.
+    values: Optional[np.ndarray] = None
+    labels: Optional[np.ndarray] = None
+
+
 class QueryEstimator:
     """Evaluates queries against a reservoir sample.
 
@@ -82,27 +102,61 @@ class QueryEstimator:
 
     def __init__(self, sampler: ReservoirSampler) -> None:
         self.sampler = sampler
+        self._key: Optional[tuple] = None
+        self._arrivals: Optional[np.ndarray] = None
+        self._supports: Dict[Optional[int], Optional[_Support]] = {}
 
-    def _sample_parts(self, query: LinearQuery, t: int):
-        """Per-resident (c, h, p) restricted to the support ``c != 0``."""
+    def _support(self, query: LinearQuery, t: int) -> Optional[_Support]:
+        """The shared record of ``query``'s horizon at ``t``, or ``None``
+        for an empty support.
+
+        Keyed on the sampler's stream position, its resident-view key
+        (which moves with every storage change) and ``t``: ``p`` can move
+        with ``t`` alone (a rejected unbiased offer), so storage counters
+        are not enough. One state is kept; a new key drops every record.
+        ``c`` depends on the horizon only, so records are per horizon.
+        """
+        sampler = self.sampler
+        key = (sampler.t, t, sampler._columns_key())
+        if key != self._key:
+            self._key = key
+            self._arrivals = sampler.arrival_indices()
+            self._supports = {}
+        horizon = query.horizon
+        if horizon in self._supports:
+            return self._supports[horizon]
+        coeffs = query.coefficients(self._arrivals, t)
+        positions = np.flatnonzero(coeffs)
+        record = None
+        if positions.size:
+            arrivals = self._arrivals[positions]
+            coeffs = coeffs[positions]
+            probs = sampler.inclusion_probabilities(arrivals, t)
+            # HT variance estimator: sum (c h)^2 (1 - p) / p^2 over the
+            # sample. Dividing the population term (c h)^2 (1 - p) / p by
+            # each sampled point's own inclusion probability makes the
+            # sample sum unbiased for Lemma 4.1's design variance.
+            record = _Support(
+                positions,
+                arrivals,
+                coeffs,
+                coeffs / probs,
+                ((1.0 - probs) / probs**2)[:, None],
+            )
+        self._supports[horizon] = record
+        return record
+
+    def _values(self, query: LinearQuery, support: _Support) -> np.ndarray:
+        """``h`` over the support's rows (gathered once per record)."""
         if query.h is None:
-            columns = None
-            arrivals = self.sampler.arrival_indices()
-        else:
+            return query.values_matrix(None, None, support.arrivals)
+        if support.values is None:
             columns = self.sampler.resident_columns()
-            arrivals = columns.arrivals
-        coeffs = query.coefficients(arrivals, t)
-        support = np.flatnonzero(coeffs)
-        if support.size == 0:
-            return None
-        arrivals = arrivals[support]
-        values = query.values_matrix(
-            None if columns is None else columns.values[support],
-            None if columns is None else columns.labels[support],
-            arrivals,
+            support.values = columns.values[support.positions]
+            support.labels = columns.labels[support.positions]
+        return query.values_matrix(
+            support.values, support.labels, support.arrivals
         )
-        probs = self.sampler.inclusion_probabilities(arrivals, t)
-        return coeffs[support], values, probs
 
     def estimate(
         self,
@@ -128,42 +182,34 @@ class QueryEstimator:
             )
         if isinstance(query, RatioQuery):
             return self._estimate_ratio(query, t)
-        parts = self._sample_parts(query, t)
-        if parts is None:
+        support = self._support(query, t)
+        if support is None:
             return EstimateResult(
                 np.zeros(query.output_dim), np.zeros(query.output_dim), 0
             )
-        coeffs, values, probs = parts
-        weights = coeffs / probs
-        estimate = weights @ values
-        # HT variance estimator: sum (c h)^2 (1 - p) / p^2 over the sample.
-        # Dividing the population term (c h)^2 (1 - p) / p by each sampled
-        # point's own inclusion probability makes the sample sum unbiased
-        # for Lemma 4.1's design variance.
-        var_terms = (coeffs[:, None] * values) ** 2 * (
-            (1.0 - probs) / probs**2
-        )[:, None]
+        values = self._values(query, support)
+        estimate = support.weights @ values
+        var_terms = (support.coeffs[:, None] * values) ** 2 * support.var_factor
         variance = var_terms.sum(axis=0)
-        return EstimateResult(estimate, variance, int(coeffs.size))
+        return EstimateResult(estimate, variance, int(support.coeffs.size))
 
     def _estimate_ratio(self, query: RatioQuery, t: int) -> EstimateResult:
-        """Self-normalized (Hajek) estimate of a ratio query."""
-        num_parts = self._sample_parts(query.numerator, t)
-        den_parts = self._sample_parts(query.denominator, t)
-        if num_parts is None or den_parts is None:
+        """Self-normalized (Hajek) estimate of a ratio query; both parts
+        share a horizon, so they read one record."""
+        support = self._support(query.numerator, t)
+        if support is None:
             return EstimateResult(
                 np.full(query.numerator.output_dim, np.nan), None, 0
             )
-        n_coeffs, n_values, n_probs = num_parts
-        d_coeffs, d_values, d_probs = den_parts
-        numerator = (n_coeffs / n_probs) @ n_values
-        denominator = (d_coeffs / d_probs) @ d_values
-        support = int(d_coeffs.size)
+        numerator = support.weights @ self._values(query.numerator, support)
+        denominator = support.weights @ self._values(
+            query.denominator, support
+        )
         with np.errstate(divide="ignore", invalid="ignore"):
             estimate = np.where(
                 denominator != 0.0, numerator / denominator, np.nan
             )
-        return EstimateResult(estimate, None, support)
+        return EstimateResult(estimate, None, int(support.coeffs.size))
 
     def relevant_sample_size(self, horizon: int, t: Optional[int] = None) -> int:
         """Residents inside the last-``horizon`` window.

@@ -353,8 +353,9 @@ class ShardedReservoir:
         union residents cannot have changed. Requires
         :class:`~repro.streams.point.StreamPoint` payloads.
         """
+        key = self._columns_key()
         cached = self._columns_cache
-        if cached is not None and cached[0] == self.t:
+        if cached is not None and cached[0] == key:
             return cached[1]
         self.flush()
         samplers = [w.sampler for w in self._workers if w.sampler.size]
@@ -368,8 +369,13 @@ class ShardedReservoir:
             )
         else:
             columns = build_resident_columns([], np.empty(0, dtype=np.int64))
-        self._columns_cache = (self.t, columns)
+        self._columns_cache = (key, columns)
         return columns
+
+    def _columns_key(self) -> tuple:
+        """Cache key of :meth:`resident_columns` (and of the query
+        estimator's shared records): the stream position."""
+        return (self.t,)
 
     @property
     def size(self) -> int:

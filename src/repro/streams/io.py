@@ -18,12 +18,16 @@ Format
 Parsing
 -------
 :func:`load_stream_csv_chunks` reads ``chunk_size`` lines at a time. It
-splits the index and label off each line once, then parses the value
-columns of the whole chunk with a single :func:`numpy.loadtxt` call into
-a ``(b, d)`` float64 block, and yields the chunk as a
+parses the index, label and value columns of the whole chunk with a
+single :func:`numpy.loadtxt` call into int64 and ``(b, d)`` float64
+columns, and yields the chunk as a
 :class:`~repro.streams.point.PointBlock`: no Python object is built per
-row. A chunk holding an index or label outside int64 is yielded as a
-list of :class:`StreamPoint` s instead, each owning its row.
+row. A chunk numpy cannot read that way (an empty label, a bad line, an
+integer numpy's parser refuses but :class:`int` reads) takes a per-line
+path instead, which splits the index and label off each line and parses
+the value columns in bulk; both paths give equal blocks. A chunk
+holding an index or label outside int64 is yielded as a list of
+:class:`StreamPoint` s instead, each owning its row.
 :func:`load_stream_csv` is the flatten, boxing rows into points.
 
 Validation
@@ -42,7 +46,16 @@ from __future__ import annotations
 
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Union
+from typing import (
+    Callable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -148,6 +161,54 @@ def _parse_chunk(
     def fail(offset: int, why: str) -> ValueError:
         return ValueError(f"{path}, line {first_line + offset}: {why}")
 
+    lines = list(lines)
+    if not lines:
+        return []
+    rows = _parse_bulk(lines, dimensions)
+    if rows is None:
+        return _parse_lines(lines, dimensions, fail)
+    index, label, values = rows
+    if index.min() < 1:
+        offset = int(np.argmax(index < 1))
+        raise fail(offset, f"index {index[offset]} is below 1")
+    _check_finite(values, fail)
+    return PointBlock(index, label, np.zeros(len(lines), np.bool_), values)
+
+
+def _parse_bulk(
+    lines: List[str], dimensions: int
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Index, label and value columns of a chunk from one
+    :func:`numpy.loadtxt` call, or ``None`` when a line needs
+    :func:`_parse_lines`: a bad line, an empty label, an integer outside
+    int64, or one numpy refuses that :class:`int` reads (``1_0``, other
+    digit scripts)."""
+    if not any(map(str.strip, lines)):  # loadtxt warns on no data
+        return None
+    row = np.dtype(
+        [("index", "<i8"), ("label", "<i8"), ("values", "<f8", (dimensions,))]
+    )
+    try:
+        rows = np.loadtxt(
+            lines, delimiter=",", dtype=row, ndmin=1, comments=None
+        )
+    except (ValueError, OverflowError):
+        return None
+    # loadtxt skips blank lines, so a wrong row count is a bad line too.
+    if rows.shape != (len(lines),):
+        return None
+    return (
+        np.ascontiguousarray(rows["index"]),
+        np.ascontiguousarray(rows["label"]),
+        np.ascontiguousarray(rows["values"]),
+    )
+
+
+def _parse_lines(
+    lines: List[str], dimensions: int, fail: Callable[[int, str], ValueError]
+) -> Sequence[StreamPoint]:
+    """The per-line parser: splits the index and label off each line,
+    then parses the value cells in bulk."""
     indices: List[int] = []
     labels: List[Optional[int]] = []
     nones: List[int] = []  # offsets of the lines with an empty label
@@ -172,8 +233,6 @@ def _parse_chunk(
                     offset, f"label {label!r} is not an integer"
                 ) from None
         cells.append(rest)
-    if not cells:
-        return []
     if min(indices) < 1:
         offset = next(k for k, i in enumerate(indices) if i < 1)
         raise fail(offset, f"index {indices[offset]} is below 1")
@@ -192,10 +251,7 @@ def _parse_chunk(
             if why is not None:
                 raise fail(offset, why)
         raise fail(0, "unparseable value cells")  # pragma: no cover
-    if not np.isfinite(values).all():
-        offset, column = np.argwhere(~np.isfinite(values))[0].tolist()
-        bad = values[offset, column]
-        raise fail(offset, f"non-finite value v{column} = {bad}")
+    _check_finite(values, fail)
     none = np.zeros(len(cells), dtype=np.bool_)
     none[nones] = True
     try:
@@ -212,6 +268,15 @@ def _parse_chunk(
             StreamPoint(index, row.copy(), label)
             for index, row, label in zip(indices, values, labels)
         ]
+
+
+def _check_finite(
+    values: np.ndarray, fail: Callable[[int, str], ValueError]
+) -> None:
+    if not np.isfinite(values).all():
+        offset, column = np.argwhere(~np.isfinite(values))[0].tolist()
+        bad = values[offset, column]
+        raise fail(offset, f"non-finite value v{column} = {bad}")
 
 
 def _ragged(fields: int, dimensions: int) -> str:
