@@ -1,7 +1,8 @@
 """Columnar query-engine throughput: vectorized estimators vs per-point.
 
 Times the full builder-query suite through the columnar
-:class:`~repro.queries.estimator.QueryEstimator` against the per-point
+:class:`~repro.queries.estimator.QueryEstimator` (a fresh one per round,
+so no round reads records an earlier round built) against the per-point
 estimator kept as the test oracle (``tests/query_oracle.py``), over the
 same seeded inputs (:func:`~repro.experiments.throughput.query_bench_inputs`),
 and the ten-query checkpoint mix evaluated after every block
@@ -54,14 +55,17 @@ def versus_oracle(report):
         report["stream_length"],
         report["dimensions"],
     )
-    engine = QueryEstimator(sampler)
     sampler.resident_columns()  # warm the cache outside the timed region
     rounds, repeats = report["eval_rounds"], report["repeats"]
-    columnar_s = estimates_seconds(engine.estimate, queries, rounds, repeats)
+    # A fresh engine per round: each round builds its shared records.
+    columnar_s = estimates_seconds(
+        lambda: QueryEstimator(sampler).estimate, queries, rounds, repeats
+    )
     oracle_s = estimates_seconds(
-        lambda q: oracle_estimate(sampler, q), queries, rounds, repeats
+        lambda: lambda q: oracle_estimate(sampler, q), queries, rounds, repeats
     )
     n_estimates = rounds * len(queries)
+    engine = QueryEstimator(sampler)
     pairs = [(engine.estimate(q), oracle_estimate(sampler, q)) for q in queries]
     # The ten-query mix after every block: one engine per run, reading
     # its shared records, against the oracle on the same states.

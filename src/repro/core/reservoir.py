@@ -133,6 +133,8 @@ class ReservoirSampler(ABC):
         # Point columns (class docstring); `_idx`, `_labs` and `_none`
         # exist whenever `_vals` is not None.
         self._vals: Optional[np.ndarray] = None
+        # `_row_columns()`, kept until a column is allocated or dropped.
+        self._row_cols: Optional[List[np.ndarray]] = None
         # Per-offer mutation log (see `last_ops`): lets consumers such as
         # the kNN classifier mirror the reservoir incrementally instead of
         # re-snapshotting it on every prediction.
@@ -326,13 +328,22 @@ class ReservoirSampler(ABC):
         for name in self._side_columns:
             setattr(self, name, np.empty(n))
         self._vals = None  # no residents: the next block allocates anew
+        self._row_cols = None
 
     def _row_columns(self) -> List[np.ndarray]:
-        """Every per-resident column, which an ejection moves together."""
-        columns = [self._pay, self._arr, self._glob]
-        if self._vals is not None:
-            columns += [self._vals, self._idx, self._labs, self._none]
-        return columns + [getattr(self, name) for name in self._side_columns]
+        """Every per-resident column, which an ejection moves together.
+
+        Built once and kept; :meth:`_allocate`, :meth:`_columnize` and
+        :meth:`_drop_columns`, which replace or drop columns, clear it.
+        """
+        if self._row_cols is None:
+            columns = [self._pay, self._arr, self._glob]
+            if self._vals is not None:
+                columns += [self._vals, self._idx, self._labs, self._none]
+            self._row_cols = columns + [
+                getattr(self, name) for name in self._side_columns
+            ]
+        return self._row_cols
 
     def _columnize(self, dimensions: Optional[int] = None) -> bool:
         """Allocate the point columns over the current residents.
@@ -354,6 +365,7 @@ class ReservoirSampler(ABC):
         self._idx = np.empty(n, dtype=np.int64)
         self._labs = np.empty(n, dtype=np.int64)
         self._none = np.empty(n, dtype=np.bool_)
+        self._row_cols = None
         if k:
             self._put_columns(slice(0, k), block)
         return True
@@ -399,6 +411,7 @@ class ReservoirSampler(ABC):
             rows = np.setdiff1d(np.arange(self._size), written)
             self._pay[rows] = _object_array(self._payloads_at(rows))
         self._vals = None
+        self._row_cols = None
 
     def _holds(self, block: PointBlock) -> bool:
         """Whether the point columns can take ``block``, allocating them

@@ -347,17 +347,20 @@ def query_bench_inputs(
 
 
 def estimates_seconds(
-    estimate: Callable[[Any], Any],
+    estimator_for: Callable[[], Callable[[Any], Any]],
     queries: List[Any],
     rounds: int,
     repeats: int,
 ) -> float:
-    """Best-of-``repeats`` wall time of ``rounds`` passes of
-    ``estimate(query)`` over ``queries``."""
+    """Best-of-``repeats`` wall time of ``rounds`` passes over
+    ``queries``; each pass calls ``estimator_for()`` once and estimates
+    every query through the function it returns, so an estimator built
+    there starts each pass with no shared records."""
 
     def run() -> float:
         start = time.perf_counter()
         for _ in range(rounds):
+            estimate = estimator_for()
             for query in queries:
                 estimate(query)
         return time.perf_counter() - start
@@ -457,10 +460,10 @@ def query_throughput_report(
     Three measurements:
 
     * **Estimator**: the builder-query suite of :func:`query_bench_inputs`
-      is estimated ``eval_rounds`` times against the same reservoir
-      through :class:`~repro.queries.estimator.QueryEstimator` and
-      reported as estimates/sec. Every round after the first reads the
-      estimator's shared records of that one state.
+      is estimated ``eval_rounds`` times against the same reservoir, each
+      round through a fresh :class:`~repro.queries.estimator.QueryEstimator`,
+      and reported as estimates/sec. So every round builds the shared
+      per-horizon records again, as a new sampler state would.
     * **Checkpoint mix**: the ten-query mix of
       :func:`checkpoint_mix_inputs` is estimated after every
       :data:`CHECKPOINT_BLOCK`-point block (:func:`checkpoint_mix_seconds`),
@@ -491,7 +494,7 @@ def query_throughput_report(
     )
     sampler.resident_columns()  # warm the cache outside the timed region
     columnar_s = estimates_seconds(
-        QueryEstimator(sampler).estimate, queries, eval_rounds, repeats
+        lambda: QueryEstimator(sampler).estimate, queries, eval_rounds, repeats
     )
     blocks, mix = checkpoint_mix_inputs(stream_length, dimensions)
     mix_s, mix_results = checkpoint_mix_seconds(
@@ -511,7 +514,7 @@ def query_throughput_report(
 
     def oracle_seconds(evaluate: Callable[..., Any], t: int) -> float:
         return estimates_seconds(
-            lambda q: evaluate(q, t), [oracle_query], eval_rounds, repeats
+            lambda: lambda q: evaluate(q, t), [oracle_query], eval_rounds, repeats
         ) / eval_rounds
 
     inc_s = [oracle_seconds(history.evaluate, t) for t in checkpoints]

@@ -189,6 +189,7 @@ def knn_rebuild(self) -> None:
     """``ReservoirKnnClassifier._rebuild``: one row write per payload."""
     payloads = self.sampler.payloads()
     self._rows = len(payloads)
+    self._labeled_rows = sum(point.label is not None for point in payloads)
     if self._rows == 0:
         self._matrix = None
     else:
@@ -201,6 +202,7 @@ def knn_rebuild(self) -> None:
             self._allocate(max(self.sampler.capacity, self._rows), dim)
         for i, point in enumerate(payloads):
             self._matrix[i] = point.values
+            self._half_sq[i] = 0.5 * (point.values @ point.values)
             self._labeled[i] = point.label is not None
             self._labels[i] = -1 if point.label is None else point.label
     self._synced_insertions = self.sampler.insertions

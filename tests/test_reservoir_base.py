@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.biased import ExponentialReservoir
-from repro.core.reservoir import SampleEntry
+from repro.core.reservoir import SampleEntry, from_state_dict
 from repro.core.unbiased import UnbiasedReservoir
 from repro.core.variable import VariableReservoir
 
@@ -258,3 +258,39 @@ class TestInclusionAtStreamStartAllSamplers:
         # The timestamped design is (timestamp, index)-addressed.
         ts = TimestampedExponentialReservoir(lam_time=0.1, capacity=10, rng=0)
         assert ts.inclusion_probabilities_at(np.array([])).shape == (0,)
+
+
+class TestRowColumnsCache:
+    """``_row_columns()`` is kept between ejections; it must always list
+    the arrays a fresh build would, as columns come and go."""
+
+    @staticmethod
+    def _fresh(res):
+        columns = [res._pay, res._arr, res._glob]
+        if res._vals is not None:
+            columns += [res._vals, res._idx, res._labs, res._none]
+        return columns + [getattr(res, name) for name in res._side_columns]
+
+    def _check(self, res):
+        cached = res._row_columns()
+        fresh = self._fresh(res)
+        assert len(cached) == len(fresh)
+        assert all(a is b for a, b in zip(cached, fresh))
+
+    def test_tracks_allocate_columnize_and_drop(self):
+        from repro.streams.point import PointBlock
+        from tests.conftest import make_points
+
+        rng = np.random.default_rng(0)
+        points = make_points(rng.normal(size=(60, 3)), rng.integers(0, 2, 60))
+        res = ExponentialReservoir(capacity=20, rng=1)
+        res.offer_many(points[:10])  # object cells only
+        self._check(res)
+        res.offer_many(PointBlock.from_points(points[10:40]))  # columnize
+        self._check(res)
+        res.offer("not a point")  # drops the point columns
+        self._check(res)
+        res.offer_many(points[40:])
+        self._check(res)
+        restored = from_state_dict(res.state_dict())
+        self._check(restored)
