@@ -17,8 +17,9 @@ variable sampling). The merge:
 2. thins each input independently with probability ``c* / c_i``
    (requiring ``c* <= c_i``, i.e. merged capacity at most the smaller
    input capacity — you cannot up-sample information you never kept);
-3. unions the survivors on a common *age* axis (each input's own arrival
-   counter is translated to ``merged_t - age``);
+3. unions the survivors on a common *age* axis: the fold reads each
+   input's storage rows with their ages and restores a survivor of age
+   ``a`` at arrival ``merged_t - a``, oldest first;
 4. in the rare case the union still overflows, takes a simple random
    subset of exactly ``capacity`` (a conditionally uniform factor, again
    proportionality-preserving).
@@ -30,7 +31,7 @@ bias, because its insertion constant equals ``c*`` by construction.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,12 +72,6 @@ def proportionality_constant(sampler: ReservoirSampler) -> float:
             f"reservoir ({detail})"
         )
     return float(getattr(sampler, "p_in", 1.0))
-
-
-def _aged_entries(sampler: ReservoirSampler) -> List[Tuple[int, object]]:
-    """Residents as (age, payload) pairs on the sampler's own clock."""
-    t = sampler.t
-    return [(t - e.arrival, e.payload) for e in sampler.entries()]
 
 
 def merge_exponential_reservoirs(
@@ -143,49 +138,101 @@ def fold_exponential_reservoirs(
             )
     if capacity is None:
         capacity = min(s.capacity for s in samplers)
+    return _fold_columns(
+        [
+            (s, c, s.t - s.arrival_indices())
+            for s, c in zip(samplers, constants)
+        ],
+        lam,
+        capacity,
+        max(s.t for s in samplers),
+        rng,
+    )
+
+
+def _fold_columns(
+    inputs: Sequence[Tuple[ReservoirSampler, float, np.ndarray]],
+    lam: float,
+    capacity: int,
+    t: int,
+    rng: RngLike,
+) -> SpaceConstrainedReservoir:
+    """Fold ``(sampler, c_i, ages)`` inputs into one reservoir at time ``t``.
+
+    The kernel of :func:`fold_exponential_reservoirs` and of
+    :meth:`ShardedReservoir.fold <repro.shard.ShardedReservoir.fold>`:
+    ``c_i`` is the input's design constant and ``ages`` (int64) the age
+    of each of its storage rows on the output's clock. An input that is
+    thinned draws its coins as one ``random(k)``; an overflowing union is
+    cut to ``capacity`` by one ``choice``; the survivors are stored
+    oldest first, equal ages in union order. The draws, and so the
+    generator state, are those of one scalar coin per resident.
+    """
     capacity = int(capacity)
     if capacity < 1:
         raise ValueError(f"capacity must be >= 1, got {capacity}")
-
-    generator = as_generator(rng)
     target_c = min(1.0, lam * capacity)
-    survivors: List[Tuple[int, object]] = []
-    for sampler, c_i in zip(samplers, constants):
+    for _, c_i, _ in inputs:
         if target_c > c_i + 1e-12:
             raise ValueError(
                 f"target constant {target_c:.6g} exceeds input constant "
                 f"{c_i:.6g}; lower the merged capacity (cannot up-sample)"
             )
+
+    generator = as_generator(rng)
+    kept: List[np.ndarray] = []
+    for _, c_i, ages in inputs:
         keep_prob = target_c / c_i
         # Snap to the no-thinning degeneracy within float tolerance so a
         # fold at the inputs' own constant stays coin-free even when
         # target_c = lam * capacity rounds one ulp below c_i.
         if keep_prob >= 1.0 - 1e-12:
-            survivors.extend(_aged_entries(sampler))
+            kept.append(np.arange(len(ages)))
         else:
-            for age, payload in _aged_entries(sampler):
-                if generator.random() < keep_prob:
-                    survivors.append((age, payload))
+            kept.append(
+                np.flatnonzero(generator.random(len(ages)) < keep_prob)
+            )
+    age = np.concatenate([ages[r] for (_, _, ages), r in zip(inputs, kept)])
 
-    if len(survivors) > capacity:
+    pick = np.arange(len(age))
+    if len(pick) > capacity:
         # Conditionally uniform down-sample to exactly `capacity`.
-        chosen = generator.choice(
-            len(survivors), size=capacity, replace=False
-        )
-        survivors = [survivors[i] for i in chosen]
+        pick = generator.choice(len(pick), size=capacity, replace=False)
+    pick = pick[np.argsort(-age[pick], kind="stable")]
 
-    merged_t = max(s.t for s in samplers)
     out = SpaceConstrainedReservoir(
         lam=lam, capacity=capacity, p_in=target_c, rng=generator
     )
-    out.t = merged_t
-    out.offers = merged_t
-    survivors.sort(key=lambda pair: -pair[0])
-    out._restore_storage(
-        {
-            "payloads": [payload for _, payload in survivors],
-            "arrivals": [max(1, merged_t - age) for age, _ in survivors],
-        }
-    )
-    out.insertions = len(survivors)
+    out.t = t
+    out.offers = t
+    storage = _union_storage([s for s, _, _ in inputs], kept, pick)
+    storage["arrivals"] = np.maximum(1, t - age[pick])
+    out._restore_storage(storage)
+    out.insertions = len(pick)
     return out
+
+
+def _union_storage(
+    samplers: Sequence[ReservoirSampler],
+    kept: Sequence[np.ndarray],
+    pick: np.ndarray,
+) -> Dict[str, Any]:
+    """Snapshot storage fields of the rows ``pick`` of the union, which
+    is the storage rows ``kept[i]`` of each ``samplers[i]`` in turn.
+
+    Point columns when every sampler that keeps a row holds point
+    columns of one dimensionality, else a payload list (column-only rows
+    boxed).
+    """
+    parts = [(s, r) for s, r in zip(samplers, kept) if len(r)]
+    dims = {None if s._vals is None else s._vals.shape[1] for s, _ in parts}
+    if len(dims) == 1 and None not in dims:
+        blocks = [s._column_block(r) for s, r in parts]
+        return {
+            "points": {
+                field: np.concatenate([getattr(b, field) for b in blocks])[pick]
+                for field in ("index", "label", "none", "values")
+            }
+        }
+    payloads = [p for s, r in parts for p in s._payloads_at(r)]
+    return {"payloads": [payloads[j] for j in pick.tolist()]}

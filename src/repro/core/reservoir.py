@@ -478,36 +478,21 @@ class ReservoirSampler(ABC):
         if slot == size:
             self._size = size + 1
 
-    def _eject_random(self, count: int) -> List[SampleEntry]:
+    def _eject_random(self, count: int) -> None:
         """Remove ``count`` uniformly random residents (without replacement).
 
         One victim is swap-removed (:meth:`_swap_remove`); more are
-        removed by one order-preserving :meth:`_compact`. Returns the
-        evicted residents.
+        removed by one order-preserving :meth:`_compact`.
         """
         size = self._size
         count = min(int(count), size)
-        if count <= 0:
-            return []
         if count == 1:
-            victim = int(self.rng.integers(size))
-            payload = self._pay[victim]
-            if payload is None and self._vals is not None:
-                payload = self._payloads_at(np.array([victim]))[0]
-            evicted = [SampleEntry(int(self._arr[victim]), payload)]
-            self._swap_remove(victim)
-            return evicted
-        victims = self.rng.choice(size, size=count, replace=False)
-        evicted = [
-            SampleEntry(arrival, payload)
-            for arrival, payload in zip(
-                self._arr[victims].tolist(), self._payloads_at(victims)
-            )
-        ]
-        keep = np.ones(size, dtype=bool)
-        keep[victims] = False
-        self._compact(keep)
-        return evicted
+            self._swap_remove(int(self.rng.integers(size)))
+        elif count > 1:
+            victims = self.rng.choice(size, size=count, replace=False)
+            keep = np.ones(size, dtype=bool)
+            keep[victims] = False
+            self._compact(keep)
 
     def _swap_remove(self, victim: int) -> None:
         """Remove resident ``victim``; the last resident moves into its

@@ -50,7 +50,7 @@ class VariableReservoir(ExponentialReservoir):
     it keeps residents in the array store, reuses its snapshot hooks,
     :meth:`ingest`, the ``p_in``-scaled inclusion model and the
     :meth:`_scatter` kernel, and ejects phase victims with the store's
-    :meth:`_swap_remove` (one victim) or :meth:`_eject_random`.
+    :meth:`_eject_random`.
 
     Per item, :meth:`offer` is the paper's step. Per block,
     :meth:`_admit_block` draws the same Markov chain in bulk (same
@@ -261,13 +261,7 @@ class VariableReservoir(ExponentialReservoir):
         residents by the same fraction, per Theorem 3.3."""
         new_p = max(self.target_p_in, self.q * self.p_in)
         fraction_out = 1.0 - new_p / self.p_in
-        count = round(self.size * fraction_out)
-        if count == 1:
-            # The common phase (q = 1 - 1/n): :meth:`_eject_random`'s
-            # draw and swap-remove, without boxing the evicted entry.
-            self._swap_remove(int(self.rng.integers(self._size)))
-        else:
-            self._eject_random(count)
+        self._eject_random(round(self.size * fraction_out))
         self.p_in = new_p
         self.phase_history.append((self.t, self.p_in))
 

@@ -13,12 +13,12 @@ argument with insertion gate ``p_in`` gives the Algorithm 3.1 law
 ``p_in * exp(-p_in * a / n)``. The union of the ``W`` worker reservoirs
 *is* therefore already a valid global sample; no thinning is needed.
 
-The fold makes that concrete: each worker is presented to
-:func:`~repro.core.merge.fold_exponential_reservoirs` through a
-:class:`_GlobalAxisView` that re-expresses its residents on the global
-axis (``lam_g = p_in / n``, constant ``c_i = p_in``). Folding at capacity
-``n`` targets ``c* = lam_g * n = p_in = c_i``, so ``keep_prob = 1`` —
-Theorem 3.3 thinning degenerates to a pure union of at most
+The fold makes that concrete: every worker's sampler goes to the
+columnar Theorem 3.3 kernel of :mod:`repro.core.merge` with its
+residents' global ages ``t - global_arrival``, the design constant
+``c_i = p_in`` and the global rate ``lam_g = p_in / n``. Folding at
+capacity ``n`` targets ``c* = lam_g * n = p_in = c_i``, so ``keep_prob =
+1`` — Theorem 3.3 thinning degenerates to a pure union of at most
 ``W * m = n`` residents, and the result is a live
 :class:`~repro.core.space_constrained.SpaceConstrainedReservoir` carrying
 the whole sharded sample. Folding to a *smaller* capacity exercises the
@@ -47,7 +47,7 @@ from repro.core.columns import (
     build_resident_columns,
     frozen_columns,
 )
-from repro.core.merge import fold_exponential_reservoirs
+from repro.core.merge import _fold_columns
 from repro.core.reservoir import (
     SNAPSHOT_VERSION,
     SampleEntry,
@@ -62,43 +62,14 @@ from repro.shard.partition import (
 )
 from repro.shard.worker import ShardWorker
 from repro.streams.point import PointBlock
-from repro.utils.rng import RngLike, as_generator, require_probability
+from repro.utils.rng import RngLike, require_probability
 
-__all__ = ["ShardedReservoir", "_GlobalAxisView"]
+__all__ = ["ShardedReservoir"]
 
 #: Per-worker buffer for the per-item :meth:`ShardedReservoir.offer`
 #: path: a worker's buffered points are dispatched as one block when its
 #: buffer holds this many (or on ``flush`` / any state read).
 FLUSH_SIZE = 8192
-
-
-class _GlobalAxisView:
-    """A worker reservoir re-expressed on the global arrival axis.
-
-    Quacks like an exponentially biased reservoir for
-    :func:`~repro.core.merge.fold_exponential_reservoirs`: global ``t``,
-    global-arrival entries, design ``p(x) = p_in * exp(-lam * age)`` with
-    ``lam`` the *global* rate ``p_in / n_total``.
-    """
-
-    exponential_design = True
-
-    def __init__(
-        self,
-        entries: List[SampleEntry],
-        lam: float,
-        p_in: float,
-        capacity: int,
-        t: int,
-    ) -> None:
-        self._entries = entries
-        self.lam = float(lam)
-        self.p_in = float(p_in)
-        self.capacity = int(capacity)
-        self.t = int(t)
-
-    def entries(self) -> List[SampleEntry]:
-        return list(self._entries)
 
 
 class ShardedReservoir:
@@ -319,14 +290,20 @@ class ShardedReservoir:
         self.flush()
         out: List[SampleEntry] = []
         for worker in self._workers:
+            sampler = worker.sampler
             out.extend(
-                SampleEntry(g, p) for g, p in worker.entries_global()
+                map(
+                    SampleEntry,
+                    sampler.global_arrivals().tolist(),
+                    sampler.payloads(),
+                )
             )
         return out
 
     def payloads(self) -> List[Any]:
         """Resident payloads across all shards (worker-major order)."""
-        return [e.payload for e in self.entries()]
+        self.flush()
+        return [p for w in self._workers for p in w.sampler.payloads()]
 
     def arrival_indices(self) -> np.ndarray:
         """Global arrival indices across all shards (worker-major order,
@@ -450,25 +427,15 @@ class ShardedReservoir:
         facade remains live.
         """
         self.flush()
-        views = []
-        for worker in self._workers:
-            entries = [
-                SampleEntry(g, p) for g, p in worker.entries_global()
-            ]
-            views.append(
-                _GlobalAxisView(
-                    entries,
-                    lam=self.lam,
-                    p_in=self.p_in,
-                    capacity=self.shard_capacity,
-                    t=self.t,
-                )
-            )
-        generator = self._fold_rng if rng is None else as_generator(rng)
-        return fold_exponential_reservoirs(
-            views,
-            capacity=self.capacity if capacity is None else capacity,
-            rng=generator,
+        return _fold_columns(
+            [
+                (w.sampler, self.p_in, self.t - w.sampler.global_arrivals())
+                for w in self._workers
+            ],
+            self.lam,
+            self.capacity if capacity is None else capacity,
+            self.t,
+            self._fold_rng if rng is None else rng,
         )
 
     # ------------------------------------------------------------------ #

@@ -16,7 +16,7 @@ the same for either family.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict
 
 import numpy as np
 
@@ -42,15 +42,6 @@ class ShardWorker:
     def ingest(self, payloads: np.ndarray, global_indices: np.ndarray) -> int:
         """Feed a block of the worker's sub-stream, in stream order."""
         return self.sampler.ingest(payloads, global_indices)
-
-    def entries_global(self) -> List[Tuple[int, Any]]:
-        """Residents as ``(global_arrival, payload)`` pairs."""
-        return list(
-            zip(
-                self.sampler.global_arrivals().tolist(),
-                self.sampler.payloads(),
-            )
-        )
 
     def state_dict(self) -> Dict[str, Any]:
         return {"sampler": self.sampler.state_dict()}
