@@ -149,6 +149,17 @@ class DurableReservoir:
             raise ValueError(
                 f"retain_checkpoints must be >= 1, got {retain_checkpoints}"
             )
+        if _is_sharded(sampler):
+            from repro.shard.partition import snapshot_name
+
+            if snapshot_name(sampler.partitioner) is None:
+                # recover() rebuilds the facade from its checkpoint alone.
+                raise ValueError(
+                    f"partitioner {type(sampler.partitioner).__name__} "
+                    "cannot be rebuilt from a checkpoint (only round-robin "
+                    "and default-key hash partitioners can), so a recovered "
+                    "facade would route later offers differently"
+                )
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.sampler = sampler

@@ -1,4 +1,12 @@
-"""Query estimation engine (Section 4): specs, oracle, estimators, errors."""
+"""Query estimation engine (Section 4): specs, oracle, estimators, errors.
+
+Every estimator weights residents by the Horvitz-Thompson ``c / p`` of
+:class:`QueryEstimator`'s per-horizon support record: GROUP BY groups
+its rows, and histograms and quantiles read the record of a horizon
+count. The inclusion laws ``p(r, t)`` are the samplers' own (and
+:mod:`repro.core.theory`'s); :mod:`repro.queries.variance_analysis`
+holds Lemma 4.1 and its closed forms.
+"""
 
 from repro.queries.errors import (
     average_absolute_error,
@@ -15,17 +23,12 @@ from repro.queries.histogram import (
     exact_histogram,
     exact_quantiles,
 )
-from repro.queries.inclusion import (
-    exact_variance,
-    exponential_model,
-    space_constrained_model,
-    unbiased_model,
-)
 from repro.queries.variance_analysis import (
     count_variance_exponential,
     count_variance_space_constrained,
     count_variance_unbiased,
     crossover_horizon,
+    exact_variance,
 )
 from repro.queries.spec import (
     LinearQuery,
@@ -63,9 +66,6 @@ __all__ = [
     "average_absolute_error",
     "relative_error",
     "nan_penalized_error",
-    "unbiased_model",
-    "exponential_model",
-    "space_constrained_model",
     "exact_variance",
     "count_variance_unbiased",
     "count_variance_exponential",

@@ -30,6 +30,11 @@ query then pays its own ``h``, one ``weights @ h`` and its own variance
 sum. The records are dropped whenever the sampler's stream position, its
 resident-view key or the evaluation ``t`` changes. A count (``h = None``)
 reads only the arrival indices, so it also runs over non-point payloads.
+
+The record is the one place in :mod:`repro.queries` that turns residents
+into HT weights: :class:`~repro.queries.groupby.GroupByEstimator` groups
+its rows, and the histogram and quantile estimators read the record of a
+horizon count (whose weights ``c / p`` are exactly ``1 / p``).
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from typing import Dict, Optional, Union
 import numpy as np
 
 from repro.core.reservoir import ReservoirSampler
-from repro.queries.spec import LinearQuery, RatioQuery
+from repro.queries.spec import LinearQuery, RatioQuery, count_query
 
 __all__ = ["QueryEstimator", "EstimateResult"]
 
@@ -84,9 +89,11 @@ class _Support:
     coeffs: np.ndarray
     weights: np.ndarray  # c / p
     var_factor: np.ndarray  # ((1 - p) / p^2)[:, None]
-    # The support's value and label rows, gathered on first need.
+    # The support's value and label rows, and its ``None``-label mask,
+    # each gathered on first need.
     values: Optional[np.ndarray] = None
     labels: Optional[np.ndarray] = None
+    none: Optional[np.ndarray] = None
 
 
 class QueryEstimator:
@@ -146,17 +153,43 @@ class QueryEstimator:
         self._supports[horizon] = record
         return record
 
-    def _values(self, query: LinearQuery, support: _Support) -> np.ndarray:
-        """``h`` over the support's rows (gathered once per record)."""
-        if query.h is None:
-            return query.values_matrix(None, None, support.arrivals)
+    def _rows(self, support: _Support) -> _Support:
+        """``support`` with its resident rows gathered (once per record)."""
         if support.values is None:
             columns = self.sampler.resident_columns()
             support.values = columns.values[support.positions]
             support.labels = columns.labels[support.positions]
+        return support
+
+    def _none(self, support: _Support) -> np.ndarray:
+        """The support's ``None``-label mask (gathered once per record)."""
+        if support.none is None:
+            columns = self.sampler.resident_columns()
+            support.none = columns.none[support.positions]
+        return support.none
+
+    def _values(self, query: LinearQuery, support: _Support) -> np.ndarray:
+        """``h`` over the support's rows; a count reads no row."""
+        if query.h is None:
+            return query.values_matrix(None, None, support.arrivals)
+        self._rows(support)
         return query.values_matrix(
             support.values, support.labels, support.arrivals
         )
+
+    def _at(self, t: Optional[int]) -> int:
+        """The evaluation ``t``: the sampler's position by default, and
+        never before it."""
+        t = self.sampler.t if t is None else int(t)
+        if t < self.sampler.t:
+            # The reservoir holds its *current* state; its residents and
+            # inclusion model cannot reconstruct a past sample.
+            raise ValueError(
+                f"cannot estimate as of t={t}: the reservoir has advanced "
+                f"to t={self.sampler.t}. Evaluate at checkpoints while "
+                "streaming instead."
+            )
+        return t
 
     def estimate(
         self,
@@ -171,15 +204,7 @@ class QueryEstimator:
         the "null result" failure mode the paper attributes to unbiased
         samples at short horizons.
         """
-        t = self.sampler.t if t is None else int(t)
-        if t < self.sampler.t:
-            # The reservoir holds its *current* state; its residents and
-            # inclusion model cannot reconstruct a past sample.
-            raise ValueError(
-                f"cannot estimate as of t={t}: the reservoir has advanced "
-                f"to t={self.sampler.t}. Evaluate at checkpoints while "
-                "streaming instead."
-            )
+        t = self._at(t)
         if isinstance(query, RatioQuery):
             return self._estimate_ratio(query, t)
         support = self._support(query, t)
@@ -212,13 +237,14 @@ class QueryEstimator:
         return EstimateResult(estimate, None, int(support.coeffs.size))
 
     def relevant_sample_size(self, horizon: int, t: Optional[int] = None) -> int:
-        """Residents inside the last-``horizon`` window.
+        """Residents inside the last-``horizon`` window: the support of
+        that horizon's record.
 
         For an unbiased reservoir this is ~``n * horizon / t`` and shrinks
         as the stream grows; for the exponential reservoir it stays at
         ~``n (1 - e^{-lambda h})`` forever — the quantitative heart of the
-        paper's argument.
+        paper's argument. ``horizon`` must be ``>= 1``, and ``t`` is
+        checked and the inclusion law read as for :meth:`estimate`.
         """
-        t = self.sampler.t if t is None else int(t)
-        ages = t - self.sampler.arrival_indices()
-        return int(np.sum((ages >= 0) & (ages < horizon)))
+        support = self._support(count_query(horizon), self._at(t))
+        return 0 if support is None else int(support.coeffs.size)

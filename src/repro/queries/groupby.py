@@ -3,8 +3,10 @@
 The paper's queries aggregate over the whole horizon; real monitoring
 dashboards slice by a key ("average packet size *per attack class* over
 the last hour"). This module estimates per-group linear aggregates from a
-reservoir in one pass over the residents, with the same Horvitz-Thompson /
-Hajek machinery as :mod:`repro.queries.estimator`.
+reservoir with the same Horvitz-Thompson / Hajek machinery as
+:mod:`repro.queries.estimator`: it reads that estimator's per-horizon
+support record (positions, weights ``c / p`` and resident rows) and only
+adds the grouping.
 
 Groups are defined by a key function ``StreamPoint -> hashable`` (the
 class label by default). Per-group results carry the group's relevant
@@ -20,6 +22,7 @@ from typing import Any, Callable, Dict, Hashable, Optional
 import numpy as np
 
 from repro.core.reservoir import ReservoirSampler
+from repro.queries.estimator import QueryEstimator
 from repro.queries.spec import LinearQuery, RatioQuery
 from repro.streams.point import StreamPoint
 
@@ -60,7 +63,9 @@ class GroupByEstimator:
     Parameters
     ----------
     sampler:
-        Reservoir whose payloads are :class:`StreamPoint` objects.
+        Any reservoir. The label key and queries with an ``h`` read
+        :class:`StreamPoint` rows; a count under a custom key reads only
+        the arrivals and the key of each supported payload.
     key:
         Grouping function; defaults to the class label.
     """
@@ -72,6 +77,7 @@ class GroupByEstimator:
     ) -> None:
         self.sampler = sampler
         self.key = key
+        self._estimator = QueryEstimator(sampler)
 
     def estimate(
         self,
@@ -87,21 +93,13 @@ class GroupByEstimator:
         omitted — their estimates would be the "null or wildly inaccurate
         result" the paper warns about.
         """
-        t = self.sampler.t if t is None else int(t)
-        if t < self.sampler.t:
-            raise ValueError(
-                f"cannot estimate as of t={t}: the reservoir has advanced "
-                f"to t={self.sampler.t}"
-            )
+        t = self._estimator._at(t)
         if isinstance(query, RatioQuery):
             numerator, denominator = query.numerator, query.denominator
         else:
             numerator, denominator = query, None
 
         groups, total_weight = self._accumulate(numerator, denominator, t)
-        if groups is None:
-            return {}
-
         out: Dict[Hashable, GroupEstimate] = {}
         for key, bucket in groups.items():
             if bucket["support"] < min_support:
@@ -132,44 +130,31 @@ class GroupByEstimator:
         denominator: Optional[LinearQuery],
         t: int,
     ):
-        """Per-group HT totals in one pass over the columnar resident view.
+        """Per-group HT totals over the estimator's record of the horizon.
 
-        Per-resident HT weights and query values come from the queries'
-        columnar ``h``; per-group totals are masked reductions. The
-        default key groups by the label column (rows the ``None`` mask
-        marks form the group ``None``, listed first, then the labels in
-        ascending order); a custom key is
-        applied to each supported resident's payload only to pick its
-        group (groups in order of first appearance).
+        The record gives the support's positions, weights and rows; the
+        per-group totals are masked reductions. The default key groups by
+        the label column (rows the ``None`` mask marks form the group
+        ``None``, listed first, then the labels in ascending order); a
+        custom key is applied to each supported resident's payload only
+        to pick its group (groups in order of first appearance).
         """
-        columns = self.sampler.resident_columns()
-        if columns.size == 0:
-            return None, 0.0
-        coeffs = numerator.coefficients(columns.arrivals, t)
-        support = np.flatnonzero(coeffs)
-        if support.size == 0:
+        estimator = self._estimator
+        support = estimator._support(numerator, t)
+        if support is None:
             return {}, 0.0
-        arrivals = columns.arrivals[support]
-        values = columns.values[support]
-        labels = columns.labels[support]
-        probs = self.sampler.inclusion_probabilities(arrivals, t)
-        weights = coeffs[support] / probs
-        num_rows = (
-            numerator.values_matrix(values, labels, arrivals)
-            * weights[:, None]
-        )
+        weights = support.weights
+        num_rows = estimator._values(numerator, support) * weights[:, None]
         den_rows = None
         if denominator is not None:
-            den_rows = (
-                denominator.values_matrix(values, labels, arrivals)[:, 0]
-                * weights
-            )
+            den_rows = estimator._values(denominator, support)[:, 0] * weights
         if self.key is label_key:
             # Unlabeled rows get their own code 0 (key None) from the
             # mask, so a real label -1 keeps its key.
-            none = columns.none[support]
+            labels = estimator._rows(support).labels
+            none = estimator._none(support)
             uniques, inverse = np.unique(labels[~none], return_inverse=True)
-            codes = np.zeros(len(support), dtype=np.int64)
+            codes = np.zeros(none.size, dtype=np.int64)
             codes[~none] = inverse + 1
             keys = [None] + uniques.tolist()
         else:
@@ -178,7 +163,7 @@ class GroupByEstimator:
             codes = np.array(
                 [
                     index.setdefault(self.key(payloads[i]), len(index))
-                    for i in support
+                    for i in support.positions
                 ]
             )
             keys = list(index)

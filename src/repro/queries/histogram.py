@@ -5,7 +5,10 @@ from "fraction inside one range" to "the whole distribution": equi-width
 histograms and quantiles of a dimension over a recent horizon. Both are
 weighted-sample problems — each resident contributes mass ``c(r,t)/p(r,t)``
 — so the reservoir supports them directly, with the same
-recent-horizon advantage the paper demonstrates for single ranges.
+recent-horizon advantage the paper demonstrates for single ranges. The
+residents and their masses are the
+:class:`~repro.queries.estimator.QueryEstimator` support record of a
+horizon count at the sampler's position, so a horizon must be ``>= 1``.
 
 Functions take the reservoir, a dimension, and an optional horizon, and
 return normalized estimates comparable against the exact values computed
@@ -21,7 +24,9 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.reservoir import ReservoirSampler
+from repro.queries.estimator import QueryEstimator
 from repro.queries.exact import StreamHistory
+from repro.queries.spec import count_query
 
 __all__ = [
     "HistogramEstimate",
@@ -64,25 +69,14 @@ def _weighted_values(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-resident (value, HT weight) restricted to the horizon.
 
-    Runs over the sampler's cached columnar resident view — one fancy
-    index into the values matrix instead of a Python pass over the
-    payloads.
+    The support record of ``count_query(horizon)`` at ``sampler.t``: its
+    weights ``c / p`` are ``1 / p``, since ``c`` is exactly ``1.0``.
     """
-    t = sampler.t
-    columns = sampler.resident_columns()
-    arrivals = columns.arrivals
-    if arrivals.size == 0:
+    estimator = QueryEstimator(sampler)
+    support = estimator._support(count_query(horizon), sampler.t)
+    if support is None:
         return np.empty(0), np.empty(0)
-    if horizon is not None:
-        keep = np.flatnonzero((t - arrivals) < horizon)
-        if keep.size == 0:
-            return np.empty(0), np.empty(0)
-    else:
-        keep = np.arange(arrivals.size)
-    arrivals = arrivals[keep]
-    values = columns.values[keep, dim]
-    weights = 1.0 / sampler.inclusion_probabilities(arrivals, t)
-    return values, weights
+    return estimator._rows(support).values[:, dim], support.weights
 
 
 def estimate_histogram(

@@ -7,9 +7,12 @@ points — but for *recent-horizon* queries ``c_r`` is zero exactly where
 ``1/p`` explodes under the biased design, while the unbiased design pays
 ``t/n`` for every point in the horizon.
 
-This module computes the predicted variance of a horizon-``h`` count query
-under each sampling design (unit ``h``, so the numbers are comparable), so
-the trade-off can be *plotted* rather than argued:
+:func:`exact_variance` evaluates Lemma 4.1 over the whole stream for any
+``c``, ``h`` and ``p`` (the inclusion laws themselves live in
+:mod:`repro.core.theory` and on the samplers). The rest of this module
+computes the predicted variance of a horizon-``h`` count query under each
+sampling design (unit ``h``, so the numbers are comparable), so the
+trade-off can be *plotted* rather than argued:
 
 * unbiased: ``p = n/t`` for all points, so ``Var = h (t/n - 1)`` — grows
   linearly in the stream length at fixed horizon (the analytical form of
@@ -33,12 +36,59 @@ from typing import Optional
 import numpy as np
 
 __all__ = [
+    "exact_variance",
     "count_variance_unbiased",
     "count_variance_unbiased_exact",
     "count_variance_exponential",
     "count_variance_space_constrained",
     "crossover_horizon",
 ]
+
+
+def exact_variance(
+    coefficients: np.ndarray,
+    h_values: np.ndarray,
+    probabilities: np.ndarray,
+) -> np.ndarray:
+    """Lemma 4.1 evaluated over the *whole stream*.
+
+    ``Var[H(t)] = sum_r c_r^2 h(X_r)^2 (1/p(r,t) - 1)``.
+
+    Parameters
+    ----------
+    coefficients:
+        ``c_r`` for every stream point, shape ``(t,)``.
+    h_values:
+        ``h(X_r)`` for every stream point, shape ``(t,)`` or ``(t, d)``.
+    probabilities:
+        ``p(r, t)`` for every stream point, shape ``(t,)``.
+
+    Returns the per-component variance vector. This is the population
+    quantity the paper analyzes (dominated by ``1/p`` for old points, but
+    multiplied by ``c_r = 0`` outside the horizon — the cancellation that
+    favors biased sampling for recent-horizon queries).
+    """
+    coefficients = np.asarray(coefficients, dtype=np.float64)
+    probabilities = np.asarray(probabilities, dtype=np.float64)
+    h_values = np.asarray(h_values, dtype=np.float64)
+    if h_values.ndim == 1:
+        h_values = h_values[:, None]
+    if not (
+        coefficients.shape[0]
+        == probabilities.shape[0]
+        == h_values.shape[0]
+    ):
+        raise ValueError("coefficients, h_values, probabilities must align")
+    if np.any(coefficients[probabilities <= 0.0] != 0.0):
+        raise ValueError(
+            "zero inclusion probability with non-zero coefficient: "
+            "the estimator is undefined for this design"
+        )
+    safe_p = np.where(probabilities > 0.0, probabilities, 1.0)
+    terms = (coefficients[:, None] * h_values) ** 2 * (
+        1.0 / safe_p - 1.0
+    )[:, None]
+    return terms.sum(axis=0)
 
 
 def _validate(h: int, t: int) -> None:

@@ -59,6 +59,7 @@ from repro.shard.partition import (
     HashByKeyPartitioner,
     Partitioner,
     RoundRobinPartitioner,
+    snapshot_name,
 )
 from repro.shard.worker import ShardWorker
 from repro.streams.point import PointBlock
@@ -446,16 +447,15 @@ class ShardedReservoir:
         """Facade snapshot: config + per-worker sampler snapshots.
 
         Buffers are flushed first, so the snapshot is exactly the state a
-        restart resumes from. Custom ``HashByKeyPartitioner`` key
-        callables are not serialized — pass the partitioner explicitly to
-        :meth:`from_state_dict` in that case.
+        restart resumes from. A partitioner without a
+        :func:`~repro.shard.partition.snapshot_name` (a custom
+        ``HashByKeyPartitioner`` key, any other class) is written as its
+        class name, which :meth:`from_state_dict` refuses unless the
+        partitioner is passed explicitly.
         """
-        if isinstance(self.partitioner, RoundRobinPartitioner):
-            part = "round_robin"
-        elif isinstance(self.partitioner, HashByKeyPartitioner):
-            part = "hash"
-        else:
-            part = type(self.partitioner).__name__
+        part = snapshot_name(self.partitioner) or type(
+            self.partitioner
+        ).__name__
         return {
             "version": SNAPSHOT_VERSION,
             "class": "ShardedReservoir",

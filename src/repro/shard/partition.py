@@ -24,11 +24,16 @@ from __future__ import annotations
 
 import zlib
 from abc import ABC, abstractmethod
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["Partitioner", "RoundRobinPartitioner", "HashByKeyPartitioner"]
+__all__ = [
+    "Partitioner",
+    "RoundRobinPartitioner",
+    "HashByKeyPartitioner",
+    "snapshot_name",
+]
 
 
 class Partitioner(ABC):
@@ -102,16 +107,17 @@ class HashByKeyPartitioner(Partitioner):
         return zlib.crc32(str(key).encode("utf-8")) % self.workers
 
 
-def split_by_worker(
-    worker_ids: np.ndarray, block: Sequence[Any], workers: int
-) -> List[np.ndarray]:
-    """Positions (into ``block``) routed to each worker, order-preserving.
 
-    Returns one int64 position array per worker; concatenating them in
-    worker order and sorting recovers ``arange(len(block))``.
+def snapshot_name(partitioner: Partitioner) -> Optional[str]:
+    """The name a facade snapshot rebuilds ``partitioner`` from, or ``None``.
+
+    ``"round_robin"``, or ``"hash"`` for a :class:`HashByKeyPartitioner`
+    with the default key; a custom key is a callable, which a snapshot
+    does not hold, so such a partitioner (like any other class) has no
+    name to rebuild it from.
     """
-    if len(worker_ids) != len(block):
-        raise ValueError("one worker id per block item required")
-    return [
-        np.nonzero(worker_ids == w)[0] for w in range(workers)
-    ]
+    if isinstance(partitioner, RoundRobinPartitioner):
+        return "round_robin"
+    if isinstance(partitioner, HashByKeyPartitioner) and partitioner.key is None:
+        return "hash"
+    return None

@@ -9,13 +9,20 @@ resident payloads one :class:`~repro.streams.point.StreamPoint` at a time:
 * :func:`oracle_estimate` — the per-point Horvitz-Thompson / Hajek
   estimator (one ``h(point)`` call per resident);
 * :func:`oracle_groupby` — the per-point GROUP BY accumulator for any key;
+* :func:`columnar_accumulate`, :func:`weighted_values` and
+  :func:`relevant_sample_size` — the GROUP BY accumulator, the histogram
+  and quantile weights and the relevant sample size as they were before
+  they read the estimator's shared per-horizon record: each finds its
+  own support over the resident view and divides by ``p`` itself;
 * the payload loops of the kNN mirror, the anomaly scorer, the cluster
   tracker and the drift detector (:data:`PAYLOAD_LOOPS`), and of the
   Figure 9 snapshot (:func:`evolution_snapshot`).
 
-The columnar engine must reproduce the estimator bit for bit, and the
-mining readers must give bitwise equal predictions, scores and
-checkpoints with the loops patched in.
+The columnar engine must reproduce the estimator bit for bit, GROUP BY,
+histograms, quantiles and relevant sample sizes must equal the
+self-contained versions bit for bit, and the mining readers must give
+bitwise equal predictions, scores and checkpoints with the loops patched
+in.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from repro.mining.evolution import (
 )
 from repro.mining.knn import ReservoirKnnClassifier
 from repro.queries import EstimateResult
+from repro.queries.groupby import label_key
 from repro.queries.spec import (
     InRange,
     LinearQuery,
@@ -178,6 +186,101 @@ def oracle_groupby(
         bucket["support"] += 1
         bucket["weight"] += weight
     return groups, total_weight
+
+
+def columnar_accumulate(
+    self,
+    numerator: LinearQuery,
+    denominator: Optional[LinearQuery],
+    t: int,
+) -> Tuple[Dict[Hashable, Dict[str, Any]], float]:
+    """``GroupByEstimator._accumulate`` over its own support.
+
+    Per-group HT totals in one pass over the columnar resident view:
+    finds the support, gathers its rows and divides by ``p`` here rather
+    than reading :class:`~repro.queries.QueryEstimator`'s record. An
+    empty reservoir gives ``{}`` like an empty support.
+    """
+    columns = self.sampler.resident_columns()
+    if columns.size == 0:
+        return {}, 0.0
+    coeffs = numerator.coefficients(columns.arrivals, t)
+    support = np.flatnonzero(coeffs)
+    if support.size == 0:
+        return {}, 0.0
+    arrivals = columns.arrivals[support]
+    values = columns.values[support]
+    labels = columns.labels[support]
+    probs = self.sampler.inclusion_probabilities(arrivals, t)
+    weights = coeffs[support] / probs
+    num_rows = (
+        numerator.values_matrix(values, labels, arrivals) * weights[:, None]
+    )
+    den_rows = None
+    if denominator is not None:
+        den_rows = (
+            denominator.values_matrix(values, labels, arrivals)[:, 0]
+            * weights
+        )
+    if self.key is label_key:
+        none = columns.none[support]
+        uniques, inverse = np.unique(labels[~none], return_inverse=True)
+        codes = np.zeros(len(support), dtype=np.int64)
+        codes[~none] = inverse + 1
+        keys = [None] + uniques.tolist()
+    else:
+        payloads = self.sampler.payloads()
+        index: Dict[Hashable, int] = {}
+        codes = np.array(
+            [
+                index.setdefault(self.key(payloads[i]), len(index))
+                for i in support
+            ]
+        )
+        keys = list(index)
+    groups: Dict[Hashable, Dict[str, Any]] = {}
+    for code, key in enumerate(keys):
+        mask = codes == code
+        if not mask.any():
+            continue
+        groups[key] = {
+            "num": num_rows[mask].sum(axis=0),
+            "den": float(den_rows[mask].sum())
+            if den_rows is not None
+            else 0.0,
+            "support": int(mask.sum()),
+            "weight": float(weights[mask].sum()),
+        }
+    return groups, float(weights.sum())
+
+
+def weighted_values(
+    sampler, dim: int, horizon: Optional[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``repro.queries.histogram._weighted_values`` over its own support:
+    per-resident (value, ``1 / p``) inside the horizon."""
+    t = sampler.t
+    columns = sampler.resident_columns()
+    arrivals = columns.arrivals
+    if arrivals.size == 0:
+        return np.empty(0), np.empty(0)
+    if horizon is not None:
+        keep = np.flatnonzero((t - arrivals) < horizon)
+        if keep.size == 0:
+            return np.empty(0), np.empty(0)
+    else:
+        keep = np.arange(arrivals.size)
+    arrivals = arrivals[keep]
+    values = columns.values[keep, dim]
+    weights = 1.0 / sampler.inclusion_probabilities(arrivals, t)
+    return values, weights
+
+
+def relevant_sample_size(sampler, horizon: int, t: Optional[int] = None) -> int:
+    """``QueryEstimator.relevant_sample_size`` from the residents' ages."""
+    t = sampler.t if t is None else int(t)
+    ages = t - sampler.arrival_indices()
+    return int(np.sum((ages >= 0) & (ages < horizon)))
 
 
 # --------------------------------------------------------------------- #

@@ -39,7 +39,7 @@ from repro.persist import (
     truncate_file,
 )
 from repro.persist.wal import last_record_span
-from repro.shard import ShardedReservoir
+from repro.shard import HashByKeyPartitioner, ShardedReservoir
 from repro.streams import StreamPoint
 
 CAPACITY = 8
@@ -441,6 +441,41 @@ class TestEngineLifecycle:
         DurableReservoir(_serial_sampler(), journal).close()
         with pytest.raises(ValueError, match="already holds a journal"):
             DurableReservoir(_serial_sampler(), journal)
+
+    def test_refuses_partitioner_a_checkpoint_cannot_rebuild(self, tmp_path):
+        """Recovery rebuilds the facade from its checkpoint alone, which
+        cannot hold a custom hash key: the engine refuses such a facade
+        up front instead of recovering one that routes differently."""
+        sampler = ShardedReservoir(
+            capacity=SH_CAPACITY,
+            workers=SH_WORKERS,
+            rng=SH_SEED,
+            partitioner=HashByKeyPartitioner(SH_WORKERS, key=lambda p: p % 2),
+        )
+        with pytest.raises(ValueError, match="HashByKeyPartitioner"):
+            DurableReservoir(sampler, tmp_path / "journal")
+        assert not (tmp_path / "journal").exists()
+
+    def test_default_hash_partitioner_recovers_its_routing(self, tmp_path):
+        def make():
+            return ShardedReservoir(
+                capacity=SH_CAPACITY,
+                workers=SH_WORKERS,
+                rng=SH_SEED,
+                partitioner=HashByKeyPartitioner(SH_WORKERS),
+            )
+
+        journal = tmp_path / "journal"
+        engine = DurableReservoir(make(), journal)
+        engine.offer_many(list(range(1, 200)))
+        engine.close()
+        recovered = DurableReservoir.recover(journal)
+        reference = make()
+        reference.offer_many(list(range(1, 200)))
+        recovered.offer_many(list(range(200, 300)))
+        reference.offer_many(list(range(200, 300)))
+        assert _canon(recovered.state_dict()) == _canon(reference.state_dict())
+        recovered.close(final_checkpoint=False)
 
     def test_closed_engine_rejects_offers(self, tmp_path):
         engine = DurableReservoir(_serial_sampler(), tmp_path / "j")

@@ -1,42 +1,54 @@
-"""Tests for the standalone inclusion models and Lemma 4.1 variance."""
+"""The samplers' inclusion laws against ``core.theory``, and Lemma 4.1."""
 
-import math
 
 import numpy as np
 import pytest
 
 from repro.core.biased import ExponentialReservoir
-from repro.core.unbiased import UnbiasedReservoir
-from repro.queries.inclusion import (
-    exact_variance,
-    exponential_model,
-    space_constrained_model,
-    unbiased_model,
+from repro.core.space_constrained import SpaceConstrainedReservoir
+from repro.core.theory import (
+    expected_inclusion_exponential,
+    expected_inclusion_space_constrained,
+    expected_inclusion_unbiased,
 )
+from repro.core.unbiased import UnbiasedReservoir
+from repro.queries.variance_analysis import exact_variance
 
 
 class TestModels:
     def test_unbiased_model_matches_sampler(self):
         res = UnbiasedReservoir(20, rng=0)
         res.extend(range(100))
-        model = unbiased_model(20)
         r = np.array([1, 50, 100])
         np.testing.assert_allclose(
-            model(r, 100), res.inclusion_probabilities(r)
+            expected_inclusion_unbiased(20, r, 100),
+            res.inclusion_probabilities(r),
         )
 
     def test_exponential_model_matches_sampler(self):
         res = ExponentialReservoir(capacity=50, rng=0)
         res.extend(range(300))
-        model = exponential_model(50)
         r = np.array([10, 200, 300])
         np.testing.assert_allclose(
-            model(r, 300), res.inclusion_probabilities(r)
+            expected_inclusion_exponential(50, r, 300),
+            res.inclusion_probabilities(r),
         )
 
     def test_space_constrained_model_shape(self):
-        model = space_constrained_model(100, 0.5)
-        np.testing.assert_allclose(model(np.array([200]), 200), [0.5])
+        """Theorem 3.1: a new arrival is in the sample with probability
+        ``p_in``, and the sampler decays from there at rate ``p_in / n``."""
+        res = SpaceConstrainedReservoir(lam=0.005, capacity=100, rng=0)
+        assert res.p_in == pytest.approx(0.5)
+        res.extend(range(400))
+        r = np.array([1, 200, 399, 400])
+        np.testing.assert_allclose(
+            expected_inclusion_space_constrained(100, 0.5, np.array([200]), 200),
+            [0.5],
+        )
+        np.testing.assert_allclose(
+            expected_inclusion_space_constrained(100, res.p_in, r, 400),
+            res.inclusion_probabilities(r),
+        )
 
 
 class TestLemma41Variance:
@@ -96,7 +108,7 @@ class TestLemma41Variance:
             estimates.append(est.estimate[0])
         empirical_var = float(np.var(estimates))
         c = count_query(horizon=50).coefficients(np.arange(1, t + 1), t)
-        p = unbiased_model(n)(np.arange(1, t + 1), t)
+        p = expected_inclusion_unbiased(n, np.arange(1, t + 1), t)
         predicted = exact_variance(c, np.ones(t), p)[0]
         # Lemma 4.1 assumes independent inclusions; reservoir sampling has
         # slight negative dependence, so allow a generous band.

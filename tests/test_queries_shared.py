@@ -6,7 +6,13 @@ and horizon, and every query of a mix reads them. These tests reuse one
 estimator while the sampler moves on, through every way a sampler can
 move, and require each result to be bitwise equal both to a fresh
 estimator's and to the per-point oracle in ``tests/query_oracle.py``.
+
+GROUP BY, histograms, quantiles and the relevant sample size read the
+same record; they must equal the self-contained versions kept in
+``tests/query_oracle.py`` bit for bit on the same sampler states.
 """
+
+import types
 
 import numpy as np
 import pytest
@@ -18,8 +24,11 @@ from repro.core import (
     UnbiasedReservoir,
     VariableReservoir,
 )
-from repro.queries import QueryEstimator
+from repro.queries import GroupByEstimator, QueryEstimator, label_key
+from repro.queries import histogram
+from repro.queries.histogram import estimate_histogram, estimate_quantiles
 from repro.queries.spec import (
+    RatioQuery,
     average_query,
     class_count_query,
     class_distribution_query,
@@ -29,9 +38,14 @@ from repro.queries.spec import (
     sum_query,
 )
 from repro.shard import ShardedReservoir
-from repro.streams.point import PointBlock
+from repro.streams.point import PointBlock, StreamPoint
 from tests.conftest import make_points
-from tests.query_oracle import oracle_estimate
+from tests.query_oracle import (
+    columnar_accumulate,
+    oracle_estimate,
+    relevant_sample_size,
+    weighted_values,
+)
 
 DIMS = 4
 N_CLASSES = 3
@@ -222,3 +236,277 @@ class TestOnePassPerCheckpoint:
             for query in mix:
                 estimator.estimate(query)
             assert calls == [sampler.t] * len(HORIZONS)
+
+
+# --------------------------------------------------------------------- #
+# GROUP BY, histograms, quantiles and the relevant sample size
+# --------------------------------------------------------------------- #
+
+
+def make_mixed_stream(n, seed):
+    """Labels -1..2 with ~15% unlabeled, so the ``None`` group, a real
+    label ``-1`` and labels outside ``class_count_query`` all occur."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(n, DIMS))
+    labels = rng.integers(-1, N_CLASSES, size=n)
+    unlabeled = rng.random(n) < 0.15
+    return [
+        StreamPoint(i + 1, values[i], None if unlabeled[i] else int(labels[i]))
+        for i in range(n)
+    ]
+
+
+def group_mix(horizon):
+    """Linear and ratio queries over one horizon."""
+    return [
+        count_query(horizon),
+        sum_query(horizon, range(DIMS)),
+        class_count_query(horizon, N_CLASSES),
+        average_query(horizon, range(DIMS)),
+        range_selectivity_query(horizon, (0, 1), (-0.5, -0.5), (0.5, 0.5)),
+        class_distribution_query(horizon, N_CLASSES),
+    ]
+
+
+def quadrant_key(point):
+    """A custom key: the signs of the first two coordinates."""
+    return (bool(point.values[0] > 0), bool(point.values[1] > 0))
+
+
+KEYS = {"label": label_key, "custom": quadrant_key}
+GROUP_HORIZONS = (None,) + HORIZONS
+
+
+def parts(query):
+    if isinstance(query, RatioQuery):
+        return query.numerator, query.denominator
+    return query, None
+
+
+def columnar_groupby(sampler, key):
+    """A GROUP BY estimator whose accumulator is the oracle's."""
+    oracle = GroupByEstimator(sampler, key)
+    oracle._accumulate = types.MethodType(columnar_accumulate, oracle)
+    return oracle
+
+
+def assert_same_totals(got, want):
+    (got_groups, got_total), (want_groups, want_total) = got, want
+    assert got_total == want_total
+    assert list(got_groups) == list(want_groups)
+    for key, bucket in want_groups.items():
+        mine = got_groups[key]
+        assert mine["num"].tobytes() == bucket["num"].tobytes()
+        for field in ("den", "support", "weight"):
+            assert mine[field] == bucket[field]
+
+
+def assert_same_groups(got, want):
+    assert list(got) == list(want)
+    for key, group in want.items():
+        mine = got[key]
+        assert mine.key == group.key
+        assert mine.support == group.support
+        assert mine.weight_share == group.weight_share
+        assert mine.estimate.tobytes() == group.estimate.tobytes()
+
+
+def check_groupby(estimators, t=None):
+    """Every key, horizon and query of the mix on the reused estimators,
+    then fresh ones, against the oracle accumulator."""
+    for name, reused in estimators.items():
+        sampler, key = reused.sampler, reused.key
+        at = sampler.t if t is None else t
+        oracle = columnar_groupby(sampler, key)
+        for horizon in GROUP_HORIZONS:
+            for query in group_mix(horizon):
+                numerator, denominator = parts(query)
+                assert_same_totals(
+                    reused._accumulate(numerator, denominator, at),
+                    columnar_accumulate(reused, numerator, denominator, at),
+                )
+                for min_support in (1, 3):
+                    want = oracle.estimate(query, t, min_support)
+                    assert_same_groups(
+                        reused.estimate(query, t, min_support), want
+                    )
+                    assert_same_groups(
+                        GroupByEstimator(sampler, key).estimate(
+                            query, t, min_support
+                        ),
+                        want,
+                    )
+
+
+def check_distribution(sampler, monkeypatch):
+    """Weights, histograms and quantiles against the oracle weights."""
+    edges = np.linspace(-2.0, 2.0, 9)
+    qs = [0.0, 0.1, 0.5, 0.9, 1.0]
+    for horizon in GROUP_HORIZONS:
+        for dim in (0, DIMS - 1):
+            got = histogram._weighted_values(sampler, dim, horizon)
+            want = weighted_values(sampler, dim, horizon)
+            for mine, theirs in zip(got, want):
+                assert mine.tobytes() == theirs.tobytes()
+            hist = estimate_histogram(sampler, dim, edges, horizon)
+            quantiles = estimate_quantiles(sampler, dim, qs, horizon)
+            with monkeypatch.context() as patch:
+                patch.setattr(histogram, "_weighted_values", weighted_values)
+                want_hist = estimate_histogram(sampler, dim, edges, horizon)
+                want_quantiles = estimate_quantiles(sampler, dim, qs, horizon)
+            assert hist.support == want_hist.support
+            assert hist.densities.tobytes() == want_hist.densities.tobytes()
+            assert quantiles.tobytes() == want_quantiles.tobytes()
+
+
+def check_sample_size(estimator, t=None):
+    for horizon in (1,) + HORIZONS + (10**6,):
+        want = relevant_sample_size(estimator.sampler, horizon, t)
+        assert estimator.relevant_sample_size(horizon, t) == want
+        fresh = QueryEstimator(estimator.sampler)
+        assert fresh.relevant_sample_size(horizon, t) == want
+
+
+def check_all(sampler, estimators, estimator, monkeypatch):
+    check_groupby(estimators)
+    check_distribution(sampler, monkeypatch)
+    check_sample_size(estimator)
+
+
+def reused_for(sampler):
+    estimators = {
+        name: GroupByEstimator(sampler, key) for name, key in KEYS.items()
+    }
+    return estimators, QueryEstimator(sampler)
+
+
+GROUP_FAMILIES = dict(
+    FAMILIES, chain=lambda: ChainSampler(20, window=100, rng=5)
+)
+
+
+class TestRecordReaders:
+    @pytest.mark.parametrize(
+        "family", sorted(set(GROUP_FAMILIES) - {"chain"})
+    )
+    def test_block_offers(self, family, monkeypatch):
+        sampler = GROUP_FAMILIES[family]()
+        estimators, estimator = reused_for(sampler)
+        check_all(sampler, estimators, estimator, monkeypatch)  # empty
+        points = PointBlock.from_points(make_mixed_stream(480, seed=11))
+        for _ in offer_blocks(sampler, points, 96):
+            check_all(sampler, estimators, estimator, monkeypatch)
+
+    @pytest.mark.parametrize("family", sorted(GROUP_FAMILIES))
+    def test_per_item_offers(self, family, monkeypatch):
+        sampler = GROUP_FAMILIES[family]()
+        estimators, estimator = reused_for(sampler)
+        points = make_mixed_stream(300, seed=12)
+        for step, _ in enumerate(offer_items(sampler, points)):
+            if step % 37 == 0:
+                check_all(sampler, estimators, estimator, monkeypatch)
+
+    def test_sharded_with_pending_buffers(self, monkeypatch):
+        sampler = ShardedReservoir(capacity=40, workers=4, rng=6)
+        estimators, estimator = reused_for(sampler)
+        points = make_mixed_stream(500, seed=13)
+        sampler.offer_many(points[:200])
+        check_all(sampler, estimators, estimator, monkeypatch)
+        for step, _ in enumerate(offer_items(sampler, points[200:])):
+            if step % 41 == 0:
+                assert any(sampler._buf_payloads)
+                check_all(sampler, estimators, estimator, monkeypatch)
+
+    @pytest.mark.parametrize("family", ["unbiased", "variable", "sharded"])
+    def test_explicit_later_t(self, family):
+        sampler = GROUP_FAMILIES[family]()
+        estimators, estimator = reused_for(sampler)
+        sampler.offer_many(make_mixed_stream(300, seed=14))
+        now = sampler.t
+        for t in (now + 50, now, now + 120):
+            check_groupby(estimators, t)
+            check_sample_size(estimator, t)
+
+    def test_int_payload_counts_and_custom_key(self):
+        """Counts grouped by a custom key read only arrivals and payloads,
+        so they run over ints; they equal the oracle's groups on a twin
+        sampler that drew the same residents as points."""
+        ints = ExponentialReservoir(capacity=40, rng=7)
+        twin = ExponentialReservoir(capacity=40, rng=7)
+
+        def no_view():
+            raise AssertionError("an int-payload count built the view")
+
+        ints.resident_columns = no_view
+        reused = GroupByEstimator(ints, key=lambda p: p % 3)
+        estimator = QueryEstimator(ints)
+        points = make_points(np.arange(1.0, 501.0)[:, None])
+        payloads = list(range(1, 501))
+        for start in range(0, 500, 50):
+            ints.offer_many(payloads[start : start + 50])
+            twin.offer_many(points[start : start + 50])
+            assert ints.payloads() == [
+                int(p.values[0]) for p in twin.payloads()
+            ]
+            oracle = columnar_groupby(twin, lambda p: int(p.values[0]) % 3)
+            for horizon in GROUP_HORIZONS:
+                count = count_query(horizon)
+                for query in (count, RatioQuery("share", count, count)):
+                    assert_same_groups(
+                        reused.estimate(query), oracle.estimate(query)
+                    )
+                check_sample_size(estimator)
+        with pytest.raises(AssertionError, match="built the view"):
+            reused.estimate(sum_query(None, [0]))
+
+
+class TestGroupByOnePassPerState:
+    def test_repeated_groupby_computes_p_once_per_horizon(self):
+        """GROUP BY at one state reads the estimator's records: ``p`` is
+        computed once per horizon however many queries, keys or support
+        floors ask, and again after the sampler moves."""
+        sampler = VariableReservoir(lam=1e-3, capacity=200, rng=8)
+        groups = GroupByEstimator(sampler)
+        calls = []
+        model = sampler.inclusion_probabilities
+
+        def spy(r, t=None):
+            calls.append(t)
+            return model(r, t)
+
+        sampler.inclusion_probabilities = spy
+        points = PointBlock.from_points(make_mixed_stream(2048, seed=16))
+        for _ in offer_blocks(sampler, points, 256):
+            calls.clear()
+            for _repeat in range(2):
+                for horizon in HORIZONS:
+                    for query in group_mix(horizon):
+                        groups.estimate(query)
+                        groups.estimate(query, min_support=5)
+            assert calls == [sampler.t] * len(HORIZONS)
+
+
+class TestHorizonBoundary:
+    """A horizon reaches the record as ``count_query(horizon)``, so a
+    non-positive one is refused with the query's own error."""
+
+    @pytest.fixture
+    def sampler(self):
+        sampler = ExponentialReservoir(capacity=40, rng=9)
+        sampler.offer_many(make_mixed_stream(200, seed=17))
+        return sampler
+
+    @pytest.mark.parametrize("horizon", [0, -5])
+    def test_histogram(self, sampler, horizon):
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            estimate_histogram(sampler, 0, [-1.0, 0.0, 1.0], horizon)
+
+    @pytest.mark.parametrize("horizon", [0, -5])
+    def test_quantiles(self, sampler, horizon):
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            estimate_quantiles(sampler, 0, [0.5], horizon)
+
+    @pytest.mark.parametrize("horizon", [0, -5])
+    def test_relevant_sample_size(self, sampler, horizon):
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            QueryEstimator(sampler).relevant_sample_size(horizon)

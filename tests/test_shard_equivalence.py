@@ -253,6 +253,55 @@ class TestBackendsAndSnapshots:
         assert restored.entries() == fac.entries()
 
 
+    @staticmethod
+    def _routes(facade):
+        return [facade.partitioner.assign(0, p) for p in range(100, 110)]
+
+    def test_custom_hash_key_is_not_restored_as_default(self):
+        """A snapshot cannot hold a key callable, so it names the class
+        and a restore without the partitioner is refused rather than
+        routing later offers by the default key."""
+
+        def key(payload):
+            return payload % 2
+
+        def make(partitioner):
+            return ShardedReservoir(
+                capacity=48, workers=2, rng=29, partitioner=partitioner
+            )
+
+        live = make(HashByKeyPartitioner(2, key=key))
+        _feed_blocks(live, _stream(300))
+        state = live.state_dict()
+        assert state["partitioner"] == "HashByKeyPartitioner"
+        with pytest.raises(
+            ValueError, match="cannot rebuild partitioner 'HashByKeyPartitioner'"
+        ):
+            ShardedReservoir.from_state_dict(state)
+        restored = ShardedReservoir.from_state_dict(
+            state, partitioner=HashByKeyPartitioner(2, key=key)
+        )
+        assert self._routes(restored) == self._routes(live)
+        _feed_blocks(live, _stream(200))
+        _feed_blocks(restored, _stream(200))
+        assert restored.payloads() == live.payloads()
+
+    def test_default_hash_key_restores_unaided(self):
+        live = ShardedReservoir(
+            capacity=48, workers=2, rng=31,
+            partitioner=HashByKeyPartitioner(2),
+        )
+        _feed_blocks(live, _stream(300))
+        state = live.state_dict()
+        assert state["partitioner"] == "hash"
+        restored = ShardedReservoir.from_state_dict(state)
+        assert restored.partitioner.key is None
+        assert self._routes(restored) == self._routes(live)
+        _feed_blocks(live, _stream(200))
+        _feed_blocks(restored, _stream(200))
+        assert restored.payloads() == live.payloads()
+
+
 def _facade_snapshot(family="exponential"):
     lam = 0.5 / 40 if family == "space_constrained" else None
     fac = ShardedReservoir(

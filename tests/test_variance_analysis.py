@@ -1,16 +1,18 @@
 """Tests for the Section 4 variance analysis."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
-from repro.queries import variance_analysis as va
-from repro.queries.inclusion import (
-    exact_variance,
-    exponential_model,
-    space_constrained_model,
-    unbiased_model,
+from repro.core.theory import (
+    expected_inclusion_exponential,
+    expected_inclusion_space_constrained,
+    expected_inclusion_unbiased,
 )
+from repro.queries import variance_analysis as va
 from repro.queries.spec import count_query
+from repro.queries.variance_analysis import exact_variance
 
 
 def lemma41_direct(model, h, t):
@@ -26,21 +28,27 @@ class TestClosedFormsMatchDirectSums:
     def test_unbiased(self, h):
         n, t = 50, 1000
         closed = va.count_variance_unbiased(n, h, t)
-        direct = lemma41_direct(unbiased_model(n), h, t)
+        direct = lemma41_direct(
+            partial(expected_inclusion_unbiased, n), h, t
+        )
         assert closed == pytest.approx(direct, rel=1e-9)
 
     @pytest.mark.parametrize("h", [1, 10, 100, 400])
     def test_exponential(self, h):
         n, t = 50, 1000
         closed = va.count_variance_exponential(n, h, t)
-        direct = lemma41_direct(exponential_model(n), h, t)
+        direct = lemma41_direct(
+            partial(expected_inclusion_exponential, n), h, t
+        )
         assert closed == pytest.approx(direct, rel=1e-9)
 
     @pytest.mark.parametrize("h", [1, 10, 100, 400])
     def test_space_constrained(self, h):
         n, p_in, t = 50, 0.4, 1000
         closed = va.count_variance_space_constrained(n, p_in, h, t)
-        direct = lemma41_direct(space_constrained_model(n, p_in), h, t)
+        direct = lemma41_direct(
+            partial(expected_inclusion_space_constrained, n, p_in), h, t
+        )
         assert closed == pytest.approx(direct, rel=1e-9)
 
 
