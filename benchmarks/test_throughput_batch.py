@@ -58,8 +58,9 @@ def test_skip_batch_not_slower(report):
     "name", ["variable_fill_n5000", "variable_phases_n5000"]
 )
 def test_variable_batch_not_slower(report, name):
-    """Theorem 3.3's block path (vectorized fill, one geometric segment
-    per phase) must not lose to the per-item loop on either segment."""
+    """Theorem 3.3's block path (vectorized fill, then runs of
+    one-victim phases as one last-writer write) must not lose to the
+    per-item loop on either segment."""
     result = _case(report, name)
     assert result["speedup"] >= 1.0, (
         f"{name}: offer_many only {result['speedup']:.2f}x over per-item"

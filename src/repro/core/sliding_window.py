@@ -51,6 +51,26 @@ class WindowBuffer(ReservoirSampler):
         self._insert(slot, payload)
         return True
 
+    def _admit_block(self, pay: Any, glob: Optional[np.ndarray]) -> int:
+        """The block in one last-writer :meth:`_write`: arrival ``t``
+        takes slot ``(t - 1) % capacity``, so only the block's last
+        ``capacity`` rows survive it."""
+        b, n, t0 = len(pay), self.capacity, self.t
+        if not self._size:
+            self._allocate()
+        rows = np.arange(max(0, b - n), b)
+        local = t0 + 1 + np.arange(b, dtype=np.int64)
+        self._write(
+            (t0 + rows) % n, rows, pay, local, local if glob is None else glob
+        )
+        size = min(n, self._size + b)
+        self.ejections += self._size + b - size
+        self._size = size
+        self.insertions += b
+        self.t = t0 + b
+        self.offers += b
+        return b
+
     def inclusion_probability(self, r: int, t: Optional[int] = None) -> float:
         """Deterministic membership: 1 inside the window, 0 outside."""
         t = self.t if t is None else int(t)
@@ -173,6 +193,11 @@ class ChainSampler(ReservoirSampler):
     def payloads(self) -> List[Any]:
         """Current sample payloads (one per non-empty chain)."""
         return [e.payload for e in self.entries()]
+
+    def _payloads_at(self, rows: np.ndarray) -> List[Any]:
+        """Payloads of samples ``rows`` (positions in :meth:`payloads`)."""
+        payloads = self.payloads()
+        return [payloads[i] for i in rows]
 
     def arrival_indices(self) -> np.ndarray:
         """Arrival indices of the current samples."""

@@ -59,9 +59,14 @@ class VariableReservoir(ExponentialReservoir):
     probability ``1 - p_in``, replaces a uniform resident with
     probability ``s * lambda`` and appends otherwise, and the gap to the
     next append is geometric. The fill segment (``p_in = 1``) is one
-    vectorized draw and one last-writer scatter; each phase is one
-    segment that ends in :meth:`_reduce_phase`; once ``p_in`` is at its
-    target the rest of the block is Algorithm 3.1's gated scatter.
+    vectorized draw and one last-writer scatter. A phase that starts at
+    ``n - 1`` residents and ejects one (every phase after the first
+    under the default ``q``) appends into slot ``n - 1``, which the
+    reduction's swap-remove moves into a uniform victim slot, so a run
+    of them is one last-writer write too (:meth:`_phase_run`); any other
+    phase is one segment that ends in :meth:`_reduce_phase`. Once
+    ``p_in`` is at its target the rest of the block is Algorithm 3.1's
+    gated scatter.
 
     Parameters
     ----------
@@ -149,9 +154,9 @@ class VariableReservoir(ExponentialReservoir):
     def _admit_block(self, pay: Any, glob: Optional[np.ndarray]) -> int:
         """Theorem 3.3 over a block (same distribution as :meth:`offer`).
 
-        Walks the block one segment at a time: the fill segment, then one
-        segment per phase, then the steady state. Returns the accepted
-        count.
+        Walks the block one segment at a time: the fill segment, then
+        runs of one-victim phases (one segment per any other phase), then
+        the steady state. Returns the accepted count.
         """
         b = len(pay)
         t0, inserted = self.t, self.insertions
@@ -172,7 +177,9 @@ class VariableReservoir(ExponentialReservoir):
             elif self.p_in == 1.0:
                 i = self._fill_segment(pay, local, glob, i)
             else:
-                i = self._phase_segment(pay, local, glob, i)
+                # The walker takes a phase the run does not.
+                j = self._phase_run(pay, local, glob, i)
+                i = j if j > i else self._phase_segment(pay, local, glob, i)
             self.t = t0 + i
             if self._size == n:
                 self._reduce_phase()
@@ -222,6 +229,73 @@ class VariableReservoir(ExponentialReservoir):
         self._size = s0 + appends
         self.insertions += end - i
         self.ejections += end - i - appends
+        return end
+
+    def _phase_run(
+        self, pay: np.ndarray, local: np.ndarray, glob: np.ndarray, i: int
+    ) -> int:
+        """Rows ``i..`` as a run of phases that each eject one resident,
+        up to the run's last append or the block's end.
+
+        Each phase starts at ``n - 1`` residents: its waiting rows are
+        rejected or replace a uniform resident in ``[0, n - 1)``, its
+        append lands in slot ``n - 1``, and the reduction's swap-remove
+        of a uniform victim ``u`` in ``[0, n)`` moves the appended row
+        into slot ``u``, or drops it when ``u = n - 1``. So the run is a
+        list of (slot, row) writes and one last-writer :meth:`_write`.
+        ``p_in`` follows ``max(p_in * q^k, target)``, whose cumulative
+        product multiplies in the order of :meth:`_reduce_phase`.
+
+        Draws, in order: the phases' geometric gaps (``p_k - h`` with
+        ``h = (n - 1) * lambda``), one ``random`` per waiting row against
+        ``h / (1 - p_k + h)``, the replacement victims, then one victim
+        ``u`` per phase whose append is in the block. A phase whose
+        append falls past the block keeps its waiting rows only (the
+        next block draws a fresh gap). Returns the row after the run, or
+        ``i`` when the next phase does not start at ``n - 1`` residents
+        or does not eject exactly one.
+        """
+        b, n = len(pay), self.capacity
+        if self._size != n - 1:
+            return i
+        target = self.target_p_in
+        # p_in before each of the next b - i phases (every phase takes a
+        # row at least) and after the last; the run is their prefix whose
+        # reductions eject one of the n residents.
+        schedule = np.full(b - i + 1, self.q)
+        schedule[0] = self.p_in
+        p = np.maximum(np.cumprod(schedule), target)
+        one = (p[:-1] > target) & (np.round(n * (1.0 - p[1:] / p[:-1])) == 1)
+        m = len(one) if one.all() else int(np.argmin(one))
+        if not m:
+            return i
+        h = (n - 1) * self.lam
+        at = i - 1 + np.cumsum(self.rng.geometric(p[:m] - h))
+        done = int(np.searchsorted(at, b))  # appends inside the block
+        at = at[:done]
+        end = int(at[-1]) + 1 if done == m else b
+        waiting = np.ones(end - i, dtype=bool)
+        waiting[at - i] = False
+        rows = i + np.flatnonzero(waiting)
+        p_wait = p[np.searchsorted(at, rows)]
+        rows = rows[self.rng.random(len(rows)) * (1.0 - p_wait + h) < h]
+        # The slot each row ends in (-1: none); a phase's append ends in
+        # its victim's slot, or nowhere when the victim is itself.
+        dest = np.full(end - i, -1, dtype=np.int64)
+        dest[rows - i] = self.rng.integers(0, n - 1, size=len(rows))
+        u = self.rng.integers(0, n, size=done)
+        dest[at - i] = np.where(u < n - 1, u, -1)
+        last = np.full(n - 1, -1, dtype=np.int64)
+        moved = dest >= 0
+        last[dest[moved]] = i + np.flatnonzero(moved)
+        slots = np.flatnonzero(last >= 0)
+        self._write(slots, last[slots], pay, local, glob)
+        self.insertions += len(rows) + done
+        self.ejections += len(rows) + done
+        self.p_in = float(p[done])
+        self.phase_history.extend(
+            zip(local[at].tolist(), p[1 : done + 1].tolist())
+        )
         return end
 
     def _phase_segment(

@@ -137,7 +137,8 @@ class GroupByEstimator:
         the label column (rows the ``None`` mask marks form the group
         ``None``, listed first, then the labels in ascending order); a
         custom key is applied to each supported resident's payload only
-        to pick its group (groups in order of first appearance).
+        to pick its group (groups in order of first appearance); only the
+        supported payloads are boxed.
         """
         estimator = self._estimator
         support = estimator._support(numerator, t)
@@ -158,12 +159,11 @@ class GroupByEstimator:
             codes[~none] = inverse + 1
             keys = [None] + uniques.tolist()
         else:
-            payloads = self.sampler.payloads()
             index: Dict[Hashable, int] = {}
             codes = np.array(
                 [
-                    index.setdefault(self.key(payloads[i]), len(index))
-                    for i in support.positions
+                    index.setdefault(self.key(payload), len(index))
+                    for payload in self.sampler._payloads_at(support.positions)
                 ]
             )
             keys = list(index)

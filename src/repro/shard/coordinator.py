@@ -306,6 +306,19 @@ class ShardedReservoir:
         self.flush()
         return [p for w in self._workers for p in w.sampler.payloads()]
 
+    def _payloads_at(self, rows: np.ndarray) -> List[Any]:
+        """Payloads of residents ``rows`` (positions in worker-major
+        order); each worker boxes only its own rows."""
+        self.flush()
+        samplers = [w.sampler for w in self._workers]
+        starts = np.cumsum([0] + [s.size for s in samplers])
+        owner = np.searchsorted(starts, rows, side="right") - 1
+        parts = [
+            iter(s._payloads_at(rows[owner == w] - starts[w]))
+            for w, s in enumerate(samplers)
+        ]
+        return [next(parts[w]) for w in owner]
+
     def arrival_indices(self) -> np.ndarray:
         """Global arrival indices across all shards (worker-major order,
         the order of :meth:`resident_columns`)."""

@@ -8,6 +8,8 @@ from repro.core.sliding_window import WindowBuffer
 from repro.core.unbiased import UnbiasedReservoir
 from repro.queries.groupby import GroupByEstimator, label_key
 from repro.queries.spec import average_query, count_query, sum_query
+from repro.shard import ShardedReservoir
+from repro.streams import point as point_module
 from repro.streams.point import PointBlock, StreamPoint
 from tests.conftest import make_points
 
@@ -164,3 +166,44 @@ class TestNegativeLabels:
             -1: 2,
             7: 1,
         }
+
+
+class TestCustomKeyBoxesSupportOnly:
+    """A custom key boxes the horizon's supported residents, not all."""
+
+    @pytest.fixture
+    def boxed(self, monkeypatch):
+        counts = []
+        box = point_module._box_rows
+
+        def spy(index, *columns):
+            counts.append(len(index))
+            return box(index, *columns)
+
+        monkeypatch.setattr(point_module, "_box_rows", spy)
+        return counts
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda: ExponentialReservoir(capacity=600, rng=1),
+            lambda: ShardedReservoir(capacity=600, workers=3, rng=2),
+        ],
+        ids=["array_store", "sharded"],
+    )
+    def test_boxes_no_more_than_the_support(self, factory, boxed):
+        rng = np.random.default_rng(3)
+        sampler = factory()
+        sampler.offer_many(PointBlock.from_points(labeled_points(rng, 4000)))
+        payloads = sampler.payloads()
+        ages = sampler.t - sampler.arrival_indices()
+        for horizon in (40, 100, 400):
+            boxed.clear()
+            groups = GroupByEstimator(sampler, key=lambda p: p.label % 2)
+            got = groups.estimate(count_query(horizon))
+            supports = {key: g.support for key, g in got.items()}
+            assert 0 < sum(supports.values()) < sampler.size
+            assert sum(boxed) <= sum(supports.values())
+            # The groups of keying every resident inside the horizon.
+            inside = [p.label % 2 for p, age in zip(payloads, ages) if age < horizon]
+            assert supports == {key: inside.count(key) for key in set(inside)}
