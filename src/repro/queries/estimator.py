@@ -26,8 +26,11 @@ factor ``(1 - p) / p^2`` and, filled only when a query with an ``h``
 needs them, the support's rows of the sampler's cached struct-of-arrays
 resident view
 (:meth:`~repro.core.reservoir.ReservoirSampler.resident_columns`). A
-query then pays its own ``h``, one ``weights @ h`` and its own variance
-sum. The records are dropped whenever the sampler's stream position, its
+query then pays its own ``h`` and one ``weights @ h``. Its variance sum
+(``_ht_variance``) runs on the first read of
+:attr:`EstimateResult.variance`, over the arrays the result keeps until
+then, so a caller that reads only the estimate never pays for it. The
+records are dropped whenever the sampler's stream position, its
 resident-view key or the evaluation ``t`` changes. A count (``h = None``)
 reads only the arrival indices, so it also runs over non-point payloads.
 
@@ -40,7 +43,7 @@ horizon count (whose weights ``c / p`` are exactly ``1 / p``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -50,7 +53,21 @@ from repro.queries.spec import LinearQuery, RatioQuery, count_query
 __all__ = ["QueryEstimator", "EstimateResult"]
 
 
-@dataclass(frozen=True)
+def _ht_variance(
+    coeffs: np.ndarray, var_factor: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """The HT variance estimate per component over one support.
+
+    The sample sum of ``(c h)^2 (1 - p) / p^2``: dividing Lemma 4.1's
+    population term ``(c h)^2 (1 - p) / p`` by each sampled point's own
+    inclusion probability makes the sum unbiased for its design
+    variance. ``var_factor`` is the record's ``((1 - p) / p^2)[:, None]``
+    and ``values`` the query's ``h`` over the support. This is the one
+    place the estimator computes a variance.
+    """
+    return ((coeffs[:, None] * values) ** 2 * var_factor).sum(axis=0)
+
+
 class EstimateResult:
     """An estimate plus its design-based uncertainty.
 
@@ -60,17 +77,43 @@ class EstimateResult:
         The HT (linear query) or Hajek (ratio query) estimate vector.
     variance:
         HT variance estimate per component (Lemma 4.1, estimated from the
-        sample); ``None`` for ratio queries, whose design variance has no
-        closed form at this level.
+        sample; ``_ht_variance``); ``None`` for ratio queries, whose
+        design variance has no closed form at this level.
     sample_support:
         Number of residents with non-zero coefficient — the "relevant
         sample size" whose shrinkage for small horizons is the paper's
         core complaint about unbiased sampling.
+
+    :meth:`QueryEstimator.estimate` computes a linear query's variance
+    on the first read of :attr:`variance` (or :attr:`std_error`) and
+    caches it, so a caller that reads only the estimate never pays for
+    the sum. Until that read the result keeps a reference to its own
+    ``h`` matrix and to its support record's ``c`` and variance-factor
+    vectors, which outlive the record itself. A pickled or copied result
+    carries the computed variance.
     """
 
-    estimate: np.ndarray
-    variance: Optional[np.ndarray]
-    sample_support: int
+    __slots__ = ("estimate", "sample_support", "_variance", "_deferred")
+
+    def __init__(
+        self,
+        estimate: np.ndarray,
+        variance: Optional[np.ndarray],
+        sample_support: int,
+    ) -> None:
+        self.estimate = estimate
+        self.sample_support = sample_support
+        self._variance = variance
+        self._deferred: Optional[Tuple[np.ndarray, ...]] = None
+
+    @property
+    def variance(self) -> Optional[np.ndarray]:
+        """The variance estimate, computed and cached on first read."""
+        deferred = self._deferred
+        if deferred is not None:
+            self._variance = _ht_variance(*deferred)
+            self._deferred = None
+        return self._variance
 
     @property
     def std_error(self) -> Optional[np.ndarray]:
@@ -78,6 +121,19 @@ class EstimateResult:
         if self.variance is None:
             return None
         return np.sqrt(np.maximum(self.variance, 0.0))
+
+    def __reduce__(self):
+        return (
+            type(self),
+            (self.estimate, self.variance, self.sample_support),
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"EstimateResult(estimate={self.estimate!r}, "
+            f"variance={self.variance!r}, "
+            f"sample_support={self.sample_support!r})"
+        )
 
 
 @dataclass
@@ -139,10 +195,6 @@ class QueryEstimator:
             arrivals = self._arrivals[positions]
             coeffs = coeffs[positions]
             probs = sampler.inclusion_probabilities(arrivals, t)
-            # HT variance estimator: sum (c h)^2 (1 - p) / p^2 over the
-            # sample. Dividing the population term (c h)^2 (1 - p) / p by
-            # each sampled point's own inclusion probability makes the
-            # sample sum unbiased for Lemma 4.1's design variance.
             record = _Support(
                 positions,
                 arrivals,
@@ -213,10 +265,12 @@ class QueryEstimator:
                 np.zeros(query.output_dim), np.zeros(query.output_dim), 0
             )
         values = self._values(query, support)
-        estimate = support.weights @ values
-        var_terms = (support.coeffs[:, None] * values) ** 2 * support.var_factor
-        variance = var_terms.sum(axis=0)
-        return EstimateResult(estimate, variance, int(support.coeffs.size))
+        result = EstimateResult(
+            support.weights @ values, None, int(support.coeffs.size)
+        )
+        # ``_ht_variance``'s arguments, evaluated on the first read.
+        result._deferred = (support.coeffs, support.var_factor, values)
+        return result
 
     def _estimate_ratio(self, query: RatioQuery, t: int) -> EstimateResult:
         """Self-normalized (Hajek) estimate of a ratio query; both parts

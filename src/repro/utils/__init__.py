@@ -1,11 +1,8 @@
-"""Shared utilities: RNG normalization and running statistics."""
+"""Shared utilities: RNG normalization."""
 
 from repro.utils.rng import as_generator, spawn_generators
-from repro.utils.running_stats import RunningStats, ExponentialMovingAverage
 
 __all__ = [
     "as_generator",
     "spawn_generators",
-    "RunningStats",
-    "ExponentialMovingAverage",
 ]

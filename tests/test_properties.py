@@ -19,7 +19,6 @@ from repro.core.theory import (
 from repro.core.unbiased import UnbiasedReservoir
 from repro.core.variable import VariableReservoir
 from repro.queries.spec import count_query
-from repro.utils.running_stats import RunningStats
 
 lambdas = st.floats(min_value=1e-6, max_value=0.5, allow_nan=False)
 alphas = st.floats(min_value=0.05, max_value=4.0, allow_nan=False)
@@ -212,49 +211,3 @@ class TestTheoryProperties:
     def test_trajectory_bounded_by_capacity(self, n, p_in, t):
         val = float(expected_fill_trajectory(n, p_in, t))
         assert 0.0 <= val < n + 1e-9
-
-
-class TestRunningStatsProperties:
-    @given(
-        data=st.lists(
-            st.floats(
-                min_value=-1e6, max_value=1e6, allow_nan=False
-            ),
-            min_size=0,
-            max_size=80,
-        ),
-        split=st.integers(min_value=0, max_value=80),
-    )
-    def test_merge_associativity(self, data, split):
-        split = min(split, len(data))
-        merged = RunningStats()
-        for x in data[:split]:
-            merged.update(x)
-        right = RunningStats()
-        for x in data[split:]:
-            right.update(x)
-        merged.merge(right)
-        direct = RunningStats()
-        for x in data:
-            direct.update(x)
-        assert merged.count == direct.count
-        assert merged.mean == pytest.approx(direct.mean, abs=1e-6)
-        assert merged.variance == pytest.approx(
-            direct.variance, rel=1e-6, abs=1e-6
-        )
-
-    @given(
-        data=st.lists(
-            st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
-            min_size=2,
-            max_size=50,
-        )
-    )
-    def test_matches_numpy(self, data):
-        s = RunningStats()
-        for x in data:
-            s.update(x)
-        assert s.mean == pytest.approx(float(np.mean(data)), abs=1e-9)
-        assert s.variance == pytest.approx(
-            float(np.var(data, ddof=1)), rel=1e-6, abs=1e-9
-        )
